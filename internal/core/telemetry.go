@@ -55,14 +55,30 @@ func installDropHook(network *mac.Network, kernel *sim.Kernel, tracer diffusion.
 	if tracer == nil && reg == nil {
 		return
 	}
+	network.SetDropHook(dropHook(kernel, tracer, reg, scheme))
+}
+
+// dropHook builds the hook installDropHook installs. Drops fire once per
+// lost reception, so each reason's mac_rx_drops counter is looked up once,
+// on that reason's first drop (keeping the snapshot's entries exactly the
+// reasons seen), and cached in a fixed array; after that a drop costs one
+// increment.
+func dropHook(kernel *sim.Kernel, tracer diffusion.Tracer, reg *obs.Registry, scheme string) mac.DropHook {
 	schemeL := obs.Label{Key: "scheme", Value: scheme}
-	network.SetDropHook(func(from, to topology.NodeID, f mac.Frame, reason mac.RxDropReason) {
+	var byReason [mac.RxLinkLoss + 1]*obs.Counter
+	return func(from, to topology.NodeID, f mac.Frame, reason mac.RxDropReason) {
 		m, ok := f.Payload.(msg.Message)
 		if !ok {
 			return
 		}
-		reg.Counter("mac_rx_drops", schemeL,
-			obs.Label{Key: "reason", Value: reason.String()}).Inc()
+		if reg != nil {
+			c := byReason[reason]
+			if c == nil {
+				c = reg.Counter("mac_rx_drops", schemeL, obs.Label{Key: "reason", Value: reason.String()})
+				byReason[reason] = c
+			}
+			c.Inc()
+		}
 		if tracer == nil {
 			return
 		}
@@ -81,7 +97,7 @@ func installDropHook(network *mac.Network, kernel *sim.Kernel, tracer diffusion.
 			W:        m.W,
 			Reason:   rxDropReason(reason),
 		})
-	})
+	}
 }
 
 // snapshotter is the slice of diffusion.Runtime the snapshot scheduler needs.

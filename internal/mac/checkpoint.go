@@ -169,8 +169,8 @@ func (s *Snapshotter) EncodeState(w *snap.Writer) error {
 		w.Bool(ns.sending)
 		w.Bool(ns.txActive)
 		w.U32(uint32(len(ns.audible)))
-		for _, tx := range ns.audible {
-			idx, ok := s.txIndex[tx]
+		for _, a := range ns.audible {
+			idx, ok := s.txIndex[a.tx]
 			if !ok {
 				return fmt.Errorf("mac: node %d audible transmission has no pending event", i)
 			}
@@ -392,8 +392,12 @@ func (d *Restorer) DecodeRunner(r *snap.Reader) (sim.Runner, error) {
 		if rn > r.Remaining() {
 			return nil, fmt.Errorf("mac: receiver set length %d exceeds snapshot size", rn)
 		}
+		tx.toSlot = -1
 		for i := 0; i < rn; i++ {
 			tx.recv = append(tx.recv, rxEntry{id: topology.NodeID(r.Int()), flags: r.U8()})
+			if tx.recv[i].id == tx.to {
+				tx.toSlot = int32(i)
+			}
 		}
 		tx.owner = &n.nodes[from]
 		if peer := r.Int(); peer >= 0 {
@@ -480,7 +484,8 @@ func (d *Restorer) decodeFrameRef(r *snap.Reader) (*outFrame, error) {
 }
 
 // BindAudible rebuilds every node's audible list from the decoded
-// transmissions. Call once, after the last DecodeRunner.
+// transmissions, deriving each entry's slot from the transmission's decoded
+// receiver set. Call once, after the last DecodeRunner.
 func (d *Restorer) BindAudible() error {
 	for i, idxs := range d.audible {
 		ns := &d.net.nodes[i]
@@ -489,7 +494,18 @@ func (d *Restorer) BindAudible() error {
 			if idx < 0 || idx >= len(d.txs) {
 				return fmt.Errorf("mac: node %d audible ref %d outside %d transmissions", i, idx, len(d.txs))
 			}
-			ns.audible = append(ns.audible, d.txs[idx])
+			tx := d.txs[idx]
+			slot := int32(-1)
+			for j, e := range tx.recv {
+				if e.id == ns.id {
+					slot = int32(j)
+					break
+				}
+			}
+			if slot < 0 {
+				return fmt.Errorf("mac: node %d audible on transmission %d, whose receiver set lacks it", i, idx)
+			}
+			ns.audible = append(ns.audible, audibleTx{tx: tx, slot: slot})
 		}
 	}
 	return nil

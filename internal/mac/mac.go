@@ -26,9 +26,10 @@
 //     expensive and why smaller aggregation trees save energy.
 //
 // The implementation is allocation-free in steady state and degree-bounded
-// per frame: transmissions are pooled and carry a sorted touched-list of the
+// per frame: transmissions are pooled and carry a begin-order list of the
 // receivers they were put in front of (capacity grows to the radio degree,
-// never the field size), outbound frames are pooled, contention re-arms
+// never the field size; every reference into it is a recorded slot, so each
+// reception is O(1)), outbound frames are pooled, contention re-arms
 // through a prebuilt per-node closure, and every delayed MAC step (airtime
 // end, SIFS gaps, ACK timeouts) is dispatched through pooled sim.Runner
 // records instead of fresh closures. Density sweeps spend most of their
@@ -249,67 +250,28 @@ type rxEntry struct {
 	flags uint8
 }
 
-// rxSet is a transmission's receiver set: entries kept sorted ascending by
-// node ID (insertion-sorted on a degree-bounded slice, so the residual
-// mobility sweep in end() walks IDs in exactly the order the old bitset
-// iteration produced). The backing array is retained across pool reuse, so
-// recording a receiver allocates only while the list grows toward the
-// field's maximum degree.
+// rxSet is a transmission's receiver set: one entry per receiver, appended
+// in the order begin() meets them (the sender's neighbor-list order). Every
+// reference into it is a slot index recorded at insertion — audible entries
+// and the unicast destination slot — so no lookup ever searches it. The
+// backing array is retained across pool reuse, so recording a receiver
+// allocates only while the list grows toward the field's maximum degree.
 type rxSet []rxEntry
 
-// find returns the index of id, or -1.
-func (s rxSet) find(id topology.NodeID) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid].id < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo].id == id {
-		return lo
-	}
-	return -1
-}
-
-// ensure returns the entry for id, inserting a zero-flag one in sorted
-// position if absent. The pointer is valid only until the next insert.
-func (s *rxSet) ensure(id topology.NodeID) *rxEntry {
-	t := *s
-	i := len(t)
-	for i > 0 && t[i-1].id > id {
-		i--
-	}
-	if i > 0 && t[i-1].id == id {
-		return &t[i-1]
-	}
-	t = append(t, rxEntry{})
-	copy(t[i+1:], t[i:])
-	t[i] = rxEntry{id: id}
-	*s = t
-	return &t[i]
-}
-
-// has reports whether id's entry exists and carries flag.
-func (s rxSet) has(id topology.NodeID, flag uint8) bool {
-	i := s.find(id)
-	return i >= 0 && s[i].flags&flag != 0
-}
-
-// set ors flag into id's entry, inserting it if absent.
-func (s *rxSet) set(id topology.NodeID, flag uint8) {
-	s.ensure(id).flags |= flag
+// audibleTx is one in-flight frame a node is hearing: the transmission and
+// the node's slot in its receiver set.
+type audibleTx struct {
+	tx   *transmission
+	slot int32
 }
 
 // Network simulates the shared medium for all nodes of a field.
 type Network struct {
-	kernel  *sim.Kernel
-	field   *topology.Field
-	params  Params
-	model   energy.Model
-	rng     *rand.Rand
+	kernel *sim.Kernel
+	field  *topology.Field
+	params Params
+	model  energy.Model
+	rng    *rand.Rand
 	// Sharded-run context (nil owner on the serial path). The network then
 	// hosts only the nodes owner maps to self; frames crossing a shard
 	// border travel as RemoteRx mails through shard (see NewSharded).
@@ -332,6 +294,13 @@ type Network struct {
 	txFree    []*transmission
 	frameFree []*outFrame
 	callFree  []*pendingCall
+
+	// end() scratch: slotOf maps a node to 1 + its slot in the receiver set
+	// of the frame being settled (0 = none); it is filled and cleared once
+	// per frame, so it reads all-zero between frames. leftover collects the
+	// slots of receivers that moved out of range mid-frame.
+	slotOf   []int32
+	leftover []int32
 }
 
 type nodeState struct {
@@ -341,7 +310,7 @@ type nodeState struct {
 	queue    []*outFrame
 	sending  bool // currently contending or transmitting
 	txActive bool // physically on the air right now
-	audible  []*transmission
+	audible  []audibleTx
 	cw       int
 	navUntil time.Duration // virtual carrier sense from overheard RTS/CTS
 	// busyUntil is the latest end-of-airtime of any frame this node has
@@ -401,14 +370,18 @@ type transmission struct {
 	kind  txKind
 	nav   time.Duration // medium reservation advertised by RTS/CTS
 
-	// recv is the receiver set: one entry per node this frame touched,
-	// sorted ascending by ID. rxHeard entries are the receivers the frame
-	// was actually put in front of (on and in range at airtime start);
-	// end-of-airtime consumes those entries rather than the live neighbor
-	// set, so a node moving during the frame's airtime cannot strand an
-	// audible entry or conjure a reception it never started. rxCorrupted
-	// and rxLost record overlap and link-filter fates for the same IDs.
+	// recv is the receiver set: one entry per node the frame was actually
+	// put in front of (on and in range at airtime start), in begin order.
+	// Entries carry rxHeard until end-of-airtime consumes them; end()
+	// settles those entries rather than the live neighbor set, so a node
+	// moving during the frame's airtime cannot strand an audible entry or
+	// conjure a reception it never started. rxCorrupted and rxLost record
+	// overlap and link-filter fates for the same receivers.
 	recv rxSet
+	// toSlot is the unicast destination's slot in recv, or -1 when the
+	// destination was not put in front of the frame (broadcast, off, out of
+	// range, or hosted on another shard).
+	toSlot int32
 
 	// Completion context, interpreted per kind: owner is the transmitting
 	// node, peer the unicast counterpart an ACK/CTS answers, of the queued
@@ -418,12 +391,13 @@ type transmission struct {
 	of    *outFrame
 }
 
-// corruptedAt reports whether this frame's reception at id overlapped another
-// frame or hit a half-duplex receiver.
-func (tx *transmission) corruptedAt(id topology.NodeID) bool { return tx.recv.has(id, rxCorrupted) }
-
-// lostAt reports whether the link filter vetoed this frame's reception at id.
-func (tx *transmission) lostAt(id topology.NodeID) bool { return tx.recv.has(id, rxLost) }
+// clearAtDest reports whether this frame's reception at its unicast
+// destination escaped both overlap (or a half-duplex destination) and the
+// link filter. A destination the frame was never put in front of recorded
+// no fate, so it reads clear; callers check power and range themselves.
+func (tx *transmission) clearAtDest() bool {
+	return tx.toSlot < 0 || tx.recv[tx.toSlot].flags&(rxCorrupted|rxLost) == 0
+}
 
 // Run fires at end of airtime: clear the channel, deliver survivors, then
 // continue the exchange the frame belongs to.
@@ -532,6 +506,7 @@ func New(kernel *sim.Kernel, field *topology.Field, model energy.Model, params P
 		rng:    kernel.Rand(),
 		energy: make([]energy.Meter, field.Len()),
 		nodes:  make([]nodeState, field.Len()),
+		slotOf: make([]int32, field.Len()),
 	}
 	n.stats.Drops = make(map[DropReason]int)
 	for i := range n.nodes {
@@ -559,6 +534,7 @@ func (n *Network) allocTx(kind txKind, owner *nodeState, to topology.NodeID, f F
 	tx.owner = owner
 	tx.from = owner.id
 	tx.to = to
+	tx.toSlot = -1
 	tx.frame = f
 	return tx
 }
@@ -813,7 +789,7 @@ func (n *Network) finishRTS(rts *transmission) {
 		return
 	}
 	dest := &n.nodes[of.to]
-	if dest.on && n.field.InRange(ns.id, of.to) && !rts.corruptedAt(of.to) && !rts.lostAt(of.to) {
+	if dest.on && n.field.InRange(ns.id, of.to) && rts.clearAtDest() {
 		n.call(n.params.SIFS, opSendCTS, dest, ns, of)
 		return
 	}
@@ -846,7 +822,7 @@ func (n *Network) finishCTS(cts *transmission) {
 	if !src.on {
 		return
 	}
-	if dest.on && n.field.InRange(dest.id, src.id) && !cts.corruptedAt(src.id) && !cts.lostAt(src.id) {
+	if dest.on && n.field.InRange(dest.id, src.id) && cts.clearAtDest() {
 		n.call(n.params.SIFS, opDataAfterCTS, src, nil, of)
 		return
 	}
@@ -858,15 +834,9 @@ func (n *Network) finishCTS(cts *transmission) {
 // the end-of-airtime event.
 func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) {
 	ns.txActive = true
-	// Half-duplex: anything the sender was hearing is lost to it. The
-	// sender is already in each audible frame's receiver set (audible ⟺
-	// recorded heard at that frame's start), so ensure never grows here.
-	for _, other := range ns.audible {
-		oe := other.recv.ensure(ns.id)
-		if oe.flags&rxCorrupted == 0 {
-			oe.flags |= rxCorrupted
-			n.stats.Collisions++
-		}
+	// Half-duplex: anything the sender was hearing is lost to it.
+	for _, a := range ns.audible {
+		n.corrupt(&a.tx.recv[a.slot])
 	}
 	var busyEnd time.Duration
 	if n.owner != nil {
@@ -895,71 +865,99 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 		if n.owner != nil && busyEnd > rs.busyUntil {
 			rs.busyUntil = busyEnd
 		}
-		e := tx.recv.ensure(nb)
+		slot := int32(len(tx.recv))
+		tx.recv = append(tx.recv, rxEntry{id: nb, flags: rxHeard})
+		e := &tx.recv[slot]
+		if nb == tx.to {
+			tx.toSlot = slot
+		}
 		if n.filter != nil && !n.filter(ns.id, nb) {
 			e.flags |= rxLost
 			n.stats.LinkLoss++
 		}
 		if rs.txActive {
-			e.flags |= rxCorrupted
-			n.stats.Collisions++
+			n.corrupt(e)
 		}
 		if len(rs.audible) > 0 {
 			// Overlap: this frame and everything already audible at nb are
 			// corrupted at nb.
-			if e.flags&rxCorrupted == 0 {
-				e.flags |= rxCorrupted
-				n.stats.Collisions++
-			}
-			for _, other := range rs.audible {
-				oe := other.recv.ensure(nb)
-				if oe.flags&rxCorrupted == 0 {
-					oe.flags |= rxCorrupted
-					n.stats.Collisions++
-				}
+			n.corrupt(e)
+			for _, a := range rs.audible {
+				n.corrupt(&a.tx.recv[a.slot])
 			}
 		}
-		rs.audible = append(rs.audible, tx)
-		e.flags |= rxHeard
+		rs.audible = append(rs.audible, audibleTx{tx: tx, slot: slot})
 	}
 	n.kernel.ScheduleRunner(airtime, tx)
+}
+
+// corrupt marks a reception lost to overlap, counting each corrupted
+// reception once.
+func (n *Network) corrupt(e *rxEntry) {
+	if e.flags&rxCorrupted == 0 {
+		e.flags |= rxCorrupted
+		n.stats.Collisions++
+	}
 }
 
 // end removes tx from every receiver's audible set and delivers it where it
 // survived — exactly the receivers recorded heard at airtime start: under
 // mobility the live neighbor set can differ by the time the airtime ends,
 // and only nodes that heard the frame start can finish receiving it. The
-// walk keeps the begin()-time scan order: live neighbors first (consuming
-// their heard flags), then any receivers that moved out of range mid-frame
-// in a residual ascending-ID sweep over the receiver set — empty on a
-// static field, so static runs finish receptions in the exact pre-mobility
-// order. Nothing inside finishReception can insert into tx.recv (no begin()
-// runs reentrantly; contention and handshake steps are scheduled, not
-// called), so the indices below stay valid across delivery callbacks.
+// walk keeps the begin()-time scan order: live neighbors first, found
+// through the slotOf index, then any receivers that moved out of range
+// mid-frame in ascending-ID order — none on a static field, so static runs
+// finish receptions in the exact pre-mobility order. Nothing inside
+// finishReception can run begin() or end() reentrantly (contention and
+// handshake steps are scheduled, not called), so tx.recv and the index stay
+// fixed across delivery callbacks.
 func (n *Network) end(tx *transmission) {
 	senderDied := !n.nodes[tx.from].on // died mid-frame: nothing decodable
-	for _, nb := range n.field.Neighbors(tx.from) {
-		if i := tx.recv.find(nb); i >= 0 && tx.recv[i].flags&rxHeard != 0 {
-			tx.recv[i].flags &^= rxHeard
-			n.finishReception(tx, nb, senderDied)
-		}
-	}
 	for i := range tx.recv {
-		if tx.recv[i].flags&rxHeard != 0 {
-			tx.recv[i].flags &^= rxHeard
-			n.finishReception(tx, tx.recv[i].id, senderDied)
+		n.slotOf[tx.recv[i].id] = int32(i) + 1
+	}
+	for _, nb := range n.field.Neighbors(tx.from) {
+		if s := n.slotOf[nb]; s > 0 {
+			n.slotOf[nb] = 0
+			n.settle(tx, s-1, senderDied)
 		}
 	}
+	left := n.leftover[:0]
+	for i := range tx.recv {
+		if id := tx.recv[i].id; n.slotOf[id] > 0 {
+			n.slotOf[id] = 0
+			left = append(left, int32(i))
+		}
+	}
+	// Insertion sort by ID: movers are rare, so the slice is short and the
+	// mobility path stays allocation-free.
+	for i := 1; i < len(left); i++ {
+		for j := i; j > 0 && tx.recv[left[j]].id < tx.recv[left[j-1]].id; j-- {
+			left[j], left[j-1] = left[j-1], left[j]
+		}
+	}
+	for _, s := range left {
+		n.settle(tx, s, senderDied)
+	}
+	n.leftover = left[:0]
+}
+
+// settle consumes the heard flag of tx's receiver entry at slot and finishes
+// that reception. end() settles each slot exactly once.
+func (n *Network) settle(tx *transmission, slot int32, senderDied bool) {
+	e := &tx.recv[slot]
+	e.flags &^= rxHeard
+	n.finishReception(tx, e.id, e.flags, senderDied)
 }
 
 // finishReception settles one receiver at the end of tx's airtime:
-// detach it from the audible set, classify losses, apply NAV for
-// handshakes, and deliver surviving payloads.
-func (n *Network) finishReception(tx *transmission, nb topology.NodeID, senderDied bool) {
+// detach it from the audible set, classify losses from the entry's flags,
+// apply NAV for handshakes, and deliver surviving payloads.
+func (n *Network) finishReception(tx *transmission, nb topology.NodeID, flags uint8, senderDied bool) {
 	rs := &n.nodes[nb]
 	idx := -1
 	for i, a := range rs.audible {
-		if a == tx {
+		if a.tx == tx {
 			idx = i
 			break
 		}
@@ -968,7 +966,7 @@ func (n *Network) finishReception(tx *transmission, nb topology.NodeID, senderDi
 		return // receiver turned off since tx started (audible cleared)
 	}
 	rs.audible = append(rs.audible[:idx], rs.audible[idx+1:]...)
-	if !rs.on || senderDied || tx.corruptedAt(nb) || tx.lostAt(nb) {
+	if !rs.on || senderDied || flags&(rxCorrupted|rxLost) != 0 {
 		// Classify the loss only when someone is listening; the reason
 		// switch is pure observability.
 		if n.drop != nil {
@@ -978,7 +976,7 @@ func (n *Network) finishReception(tx *transmission, nb topology.NodeID, senderDi
 				reason = RxReceiverOff
 			case senderDied:
 				reason = RxSenderOff
-			case tx.corruptedAt(nb):
+			case flags&rxCorrupted != 0:
 				reason = RxCollision
 			}
 			n.reportDrop(tx, nb, reason)
@@ -1034,7 +1032,7 @@ func (n *Network) finishData(tx *transmission) {
 	}
 	// Unicast: did the destination get it?
 	dest := &n.nodes[of.to]
-	gotIt := dest.on && n.field.InRange(ns.id, of.to) && !tx.corruptedAt(of.to) && !tx.lostAt(of.to)
+	gotIt := dest.on && n.field.InRange(ns.id, of.to) && tx.clearAtDest()
 	if gotIt {
 		// Destination sends an ACK after SIFS, bypassing contention.
 		n.call(n.params.SIFS, opSendAck, dest, ns, of)
@@ -1071,7 +1069,7 @@ func (n *Network) finishAck(ack *transmission) {
 	if !src.on {
 		return
 	}
-	if dest.on && n.field.InRange(dest.id, src.id) && !ack.corruptedAt(src.id) && !ack.lostAt(src.id) {
+	if dest.on && n.field.InRange(dest.id, src.id) && ack.clearAtDest() {
 		// ACK received: success.
 		src.cw = n.params.CWMin
 		if n.outcome != nil {

@@ -11,42 +11,205 @@ import (
 	"repro/internal/topology"
 )
 
-func TestRxSetSortedInsertAndFlags(t *testing.T) {
-	// Randomized cross-check against a map oracle: after any insert order
-	// the set stays sorted ascending, ensure is idempotent, and has() sees
-	// exactly the flags set().
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		var s rxSet
-		oracle := map[topology.NodeID]uint8{}
-		for op := 0; op < 200; op++ {
-			id := topology.NodeID(rng.Intn(64))
-			flag := uint8(1) << uint(rng.Intn(3))
-			s.set(id, flag)
-			oracle[id] |= flag
+// inFlight returns the transmissions whose end of airtime is pending, in
+// firing order.
+func inFlight(k *sim.Kernel) []*transmission {
+	var out []*transmission
+	for _, ev := range k.PendingEvents() {
+		if tx, ok := ev.Runner.(*transmission); ok {
+			out = append(out, tx)
 		}
-		if len(s) != len(oracle) {
-			t.Fatalf("trial %d: %d entries, oracle has %d", trial, len(s), len(oracle))
-		}
-		for i := range s {
-			if i > 0 && s[i-1].id >= s[i].id {
-				t.Fatalf("trial %d: not strictly ascending at %d: %v", trial, i, s)
+	}
+	return out
+}
+
+// randomField scatters nodes uniformly over a side×side square with a 40 m
+// radio range.
+func randomField(t *testing.T, rng *rand.Rand, nodes int, side float64) *topology.Field {
+	t.Helper()
+	pts := make([]geom.Point, nodes)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+	}
+	f, err := topology.FromPositions(geom.Square(0, 0, side), 40, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func TestRxSetBeginOrderAndSlots(t *testing.T) {
+	// Contended broadcasts and unicasts on a dense static field with some
+	// receivers off. After every event, each in-flight frame's receiver set
+	// must list the sender's powered-on neighbors in neighbor-list order,
+	// every audible entry must point at its node's rxHeard entry and every
+	// rxHeard entry must be audible at that slot, and the destination slot
+	// must name the unicast destination whenever it heard the frame.
+	const nodes = 40
+	rng := rand.New(rand.NewSource(5))
+	f := randomField(t, rng, nodes, 120)
+	k := sim.NewKernel(5)
+	n, err := New(k, f, energy.PaperModel(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []topology.NodeID{3, 17, 29} {
+		n.SetOn(id, false)
+	}
+	for round := 0; round < 20; round++ {
+		for s := 0; s < 6; s++ {
+			src := topology.NodeID(rng.Intn(nodes))
+			if !n.On(src) {
+				continue
 			}
-			if s[i].flags != oracle[s[i].id] {
-				t.Fatalf("trial %d: node %d flags %b, oracle %b",
-					trial, s[i].id, s[i].flags, oracle[s[i].id])
+			f := Frame{Bytes: 64 + rng.Intn(200), Payload: round}
+			if nbs := n.field.Neighbors(src); len(nbs) > 0 && rng.Intn(2) == 0 {
+				_ = n.Unicast(src, nbs[rng.Intn(len(nbs))], f)
+			} else {
+				_ = n.Broadcast(src, f)
 			}
 		}
-		for id, want := range oracle {
-			for _, flag := range []uint8{rxHeard, rxCorrupted, rxLost} {
-				if got := s.has(id, flag); got != (want&flag != 0) {
-					t.Fatalf("trial %d: has(%d, %b) = %v, oracle %b", trial, id, flag, got, want)
+		for k.Step() {
+			heard := 0
+			for _, tx := range inFlight(k) {
+				var want []topology.NodeID
+				for _, nb := range n.field.Neighbors(tx.from) {
+					if n.On(nb) {
+						want = append(want, nb)
+					}
+				}
+				if len(tx.recv) != len(want) {
+					t.Fatalf("round %d: tx from %d has %d receivers, %d on-neighbors", round, tx.from, len(tx.recv), len(want))
+				}
+				wantSlot := int32(-1)
+				for i, e := range tx.recv {
+					if e.id != want[i] {
+						t.Fatalf("round %d: tx from %d slot %d holds %d, neighbor order says %d", round, tx.from, i, e.id, want[i])
+					}
+					if e.flags&rxHeard == 0 {
+						t.Fatalf("round %d: in-flight tx from %d slot %d lost rxHeard", round, tx.from, i)
+					}
+					heard++
+					found := false
+					for _, a := range n.nodes[e.id].audible {
+						if a.tx == tx {
+							found = a.slot == int32(i)
+						}
+					}
+					if !found {
+						t.Fatalf("round %d: node %d heard tx from %d at slot %d but is not audible there", round, e.id, tx.from, i)
+					}
+					if e.id == tx.to {
+						wantSlot = int32(i)
+					}
+				}
+				if tx.toSlot != wantSlot {
+					t.Fatalf("round %d: tx %d->%d destination slot %d, want %d", round, tx.from, tx.to, tx.toSlot, wantSlot)
+				}
+			}
+			audible := 0
+			for i := range n.nodes {
+				for _, a := range n.nodes[i].audible {
+					e := a.tx.recv[a.slot]
+					if e.id != topology.NodeID(i) || e.flags&rxHeard == 0 {
+						t.Fatalf("round %d: node %d audible slot %d holds %+v", round, i, a.slot, e)
+					}
+					audible++
+				}
+			}
+			if audible != heard {
+				t.Fatalf("round %d: %d audible entries, %d rxHeard entries", round, audible, heard)
+			}
+		}
+	}
+}
+
+func TestEndSettlesNeighborsThenLeftoversByID(t *testing.T) {
+	// Differential check of end()'s settle order on a mobile field, with
+	// nodes moving while frames are on the air. Every settled receiver of a
+	// broadcast data frame reports exactly once, as a delivery or a drop,
+	// so the report sequence of one end-of-airtime event is its settle
+	// order. The reference: the receivers in range at airtime start that
+	// are still live neighbors, in the sender's neighbor-list order, then
+	// the rest ascending by ID.
+	const nodes = 35
+	rng := rand.New(rand.NewSource(23))
+	f := randomField(t, rng, nodes, 130)
+	k := sim.NewKernel(23)
+	n, err := New(k, f, energy.PaperModel(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []topology.NodeID
+	for i := 0; i < nodes; i++ {
+		id := topology.NodeID(i)
+		n.SetReceiver(id, func(topology.NodeID, Frame) { got = append(got, id) })
+	}
+	n.SetDropHook(func(_, to topology.NodeID, _ Frame, _ RxDropReason) { got = append(got, to) })
+	move := func() {
+		id := topology.NodeID(rng.Intn(nodes))
+		n.field.MoveNode(id, geom.Point{X: rng.Float64() * 130, Y: rng.Float64() * 130})
+	}
+	startSet := map[*transmission]map[topology.NodeID]bool{}
+	leftovers := 0
+	for round := 0; round < 40; round++ {
+		for s := 0; s < 5; s++ {
+			_ = n.Broadcast(topology.NodeID(rng.Intn(nodes)), Frame{Bytes: 300, Payload: round})
+		}
+		for {
+			for _, tx := range inFlight(k) {
+				if _, ok := startSet[tx]; !ok {
+					// Pinned on the step that put tx on the air: everyone
+					// in range of the sender at that instant.
+					in := map[topology.NodeID]bool{}
+					for j := 0; j < nodes; j++ {
+						if id := topology.NodeID(j); id != tx.from && n.field.InRange(tx.from, id) {
+							in[id] = true
+						}
+					}
+					startSet[tx] = in
+				}
+			}
+			if rng.Intn(3) == 0 {
+				move()
+			}
+			evs := k.PendingEvents()
+			if len(evs) == 0 {
+				break
+			}
+			var want []topology.NodeID
+			tx, ending := evs[0].Runner.(*transmission)
+			if ending {
+				in := startSet[tx]
+				delete(startSet, tx)
+				live := map[topology.NodeID]bool{}
+				for _, nb := range n.field.Neighbors(tx.from) {
+					if in[nb] {
+						want = append(want, nb)
+						live[nb] = true
+					}
+				}
+				for j := 0; j < nodes; j++ {
+					if id := topology.NodeID(j); in[id] && !live[id] {
+						want = append(want, id)
+						leftovers++
+					}
+				}
+			}
+			got = got[:0]
+			k.Step()
+			if len(got) != len(want) {
+				t.Fatalf("round %d: event settled %v, reference %v", round, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("round %d: tx from %d settled %v, reference %v", round, tx.from, got, want)
 				}
 			}
 		}
-		if s.find(topology.NodeID(99)) != -1 {
-			t.Fatal("find reported an entry never inserted")
-		}
+	}
+	if leftovers == 0 {
+		t.Fatal("no receiver moved out of range mid-frame; the leftover path went untested")
 	}
 }
 

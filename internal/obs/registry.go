@@ -216,7 +216,10 @@ func (r *Registry) template(name string, kind MetricKind, labels []Label) (strin
 }
 
 // Counter returns the counter handle for name+labels, creating it on first
-// use. A nil Registry returns a nil (no-op) handle.
+// use. A nil Registry returns a nil (no-op) handle. This is a set-up-time
+// lookup — it takes the registry mutex, sorts and joins the labels, and
+// allocates the key — so resolve handles once and keep them; do not call it
+// per event.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
@@ -238,7 +241,9 @@ func (r *Registry) counterLocked(name string, labels []Label) *Counter {
 }
 
 // Gauge returns the gauge handle for name+labels, creating it on first use.
-// A nil Registry returns a nil (no-op) handle.
+// A nil Registry returns a nil (no-op) handle. Like Counter, it is a
+// set-up-time lookup (mutex, label sort, allocation), not meant for
+// per-event use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
@@ -261,7 +266,9 @@ func (r *Registry) gaugeLocked(name string, labels []Label) *Gauge {
 
 // Histogram returns the histogram handle for name+labels with the given
 // ascending bucket bounds, creating it on first use (later calls reuse the
-// first bounds). A nil Registry returns a nil (no-op) handle.
+// first bounds). A nil Registry returns a nil (no-op) handle. Like Counter,
+// it is a set-up-time lookup (mutex, label sort, allocation), not meant for
+// per-event use.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
