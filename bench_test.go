@@ -294,6 +294,40 @@ func BenchmarkKernelSchedule(b *testing.B) {
 	k.Run(time.Duration(b.N+1) * time.Microsecond)
 }
 
+// nopRunner is an event that does nothing when it fires.
+type nopRunner struct{}
+
+func (*nopRunner) Run() {}
+
+// BenchmarkKernelScheduleDeep measures one fire-and-reschedule cycle with
+// ~64k events pending — the queue high-water mark of a 20k-node run, where
+// every node keeps periodic timers queued. BenchmarkKernelSchedule keeps the
+// queue one deep, so it never pays for heap depth or cache misses. Deadlines
+// are pseudo-random over a 64 ms spread so sifts travel the whole tree.
+func BenchmarkKernelScheduleDeep(b *testing.B) {
+	const depth = 1 << 16
+	k := sim.NewKernel(1)
+	r := &nopRunner{}
+	x := uint64(88172645463325252)
+	delay := func() time.Duration {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return time.Duration(x % (64 * uint64(time.Millisecond)))
+	}
+	for i := 0; i < depth; i++ {
+		k.ScheduleRunner(delay(), r)
+	}
+	// One warm cycle grows the free list to its steady-state length.
+	k.Step()
+	k.ScheduleRunner(delay(), r)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+		k.ScheduleRunner(delay(), r)
+	}
+}
+
 // BenchmarkMACBroadcast measures the per-broadcast cost of the CSMA/CA
 // model at the paper's highest density. Every sender broadcasts once
 // before the timer starts so the pool (queue slices, receiver sets) is

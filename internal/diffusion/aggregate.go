@@ -56,6 +56,10 @@ func (n *node) onData(from topology.NodeID, m msg.Message) {
 		}
 	}
 
+	if n.truncIdle {
+		n.truncIdle = false
+		n.wakeLoop(&n.truncNext, n.rt.params.NegReinforceWindow, tkTruncation)
+	}
 	st.window = append(st.window, ReceivedAgg{
 		From:     from,
 		Items:    m.Items,
@@ -272,9 +276,18 @@ func (n *node) flush(st *interestState) {
 // --- truncation (negative reinforcement) -----------------------------------
 
 // truncationPass runs the strategy's path-truncation rule over the last
-// window of received aggregates, once per Tn per node.
+// window of received aggregates, once per Tn per node. A pass that finds
+// every window empty on a live node has nothing to do until data arrives,
+// so the loop goes idle; the next window append (onData) wakes it on its
+// original phase. Off nodes keep ticking.
 func (n *node) truncationPass() {
-	defer n.armKind(n.rt.params.NegReinforceWindow, tkTruncation)
+	tn := n.rt.params.NegReinforceWindow
+	n.truncNext = n.now() + tn
+	if n.on() && n.windowsEmpty() {
+		n.truncIdle = true
+		return
+	}
+	defer n.armKind(tn, tkTruncation)
 	if !n.on() {
 		return
 	}
@@ -299,12 +312,31 @@ func (n *node) truncationPass() {
 	}
 }
 
+func (n *node) windowsEmpty() bool {
+	for _, st := range n.interests.sts {
+		if len(st.window) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // --- local repair ------------------------------------------------------------
 
 // repairPass re-reinforces an alternate upstream neighbor when a reinforced
 // one has gone silent (§2: "if a node on this preferred path fails, sensor
 // nodes can attempt to locally repair the failed path").
+//
+// The classic watchdog only acts on tree nodes, so on a live non-sink node
+// holding no data gradient the loop goes idle; setGradient wakes it on its
+// original phase once the node is reinforced. Off nodes keep ticking, and
+// the self-healing layer's pass keeps its cadence.
 func (n *node) repairPass() {
+	n.repairNext = n.now() + time.Second
+	if n.on() && !n.rt.params.Repair.Enabled && !n.isSink && !n.onAnyTree() {
+		n.repairIdle = true
+		return
+	}
 	defer n.armKind(time.Second, tkRepair)
 	if !n.on() {
 		return
@@ -352,6 +384,16 @@ func (n *node) repairPass() {
 			n.reinforceEntry(st, e)
 		}
 	}
+}
+
+// onAnyTree reports whether any interest holds a live data gradient.
+func (n *node) onAnyTree() bool {
+	for _, st := range n.interests.sts {
+		if n.hasDataGradient(st) {
+			return true
+		}
+	}
+	return false
 }
 
 // --- cache pruning -----------------------------------------------------------

@@ -113,6 +113,10 @@ func (s *Snapshotter) EncodeState(w *snap.Writer) error {
 		w.Bool(n.sourceStarted)
 		w.Int(n.interestRound)
 		w.Int(n.epoch)
+		w.I64(int64(n.repairNext))
+		w.Bool(n.repairIdle)
+		w.I64(int64(n.truncNext))
+		w.Bool(n.truncIdle)
 		w.U32(uint32(len(n.lq.es)))
 		for _, e := range n.lq.es {
 			w.Int(int(e.nbr))
@@ -328,6 +332,10 @@ func (d *Restorer) DecodeState(r *snap.Reader) error {
 		n.sourceStarted = r.Bool()
 		n.interestRound = r.Int()
 		n.epoch = r.Int()
+		n.repairNext = time.Duration(r.I64())
+		n.repairIdle = r.Bool()
+		n.truncNext = time.Duration(r.I64())
+		n.truncIdle = r.Bool()
 		ln := int(r.U32())
 		if err := checkLen(r, ln, "link-quality table"); err != nil {
 			return err

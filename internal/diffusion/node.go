@@ -154,6 +154,15 @@ type node struct {
 	// retransmission budgets. Both stay empty when repair is disabled.
 	lq      linkQuality
 	retries []ctrlRetry
+
+	// repairNext and truncNext are the next tick times of the repair
+	// watchdog and the truncation pass. A loop with nothing to watch goes
+	// idle (no pending kernel event) but keeps advancing its recorded tick
+	// on wake, so it resumes on its original phase (aggregate.go).
+	repairNext time.Duration
+	truncNext  time.Duration
+	repairIdle bool
+	truncIdle  bool
 }
 
 // initNode populates a slab slot in place; the procBias RNG draw happens
@@ -237,9 +246,25 @@ func (n *node) startHousekeeping() {
 	p := n.rt.params
 	// Offset each node's truncation phase randomly so passes do not
 	// synchronize network-wide.
-	n.armKind(p.NegReinforceWindow+n.rt.jitter(p.NegReinforceWindow), tkTruncation)
-	n.armKind(time.Second+n.rt.jitter(time.Second), tkRepair)
+	d := p.NegReinforceWindow + n.rt.jitter(p.NegReinforceWindow)
+	n.truncNext = n.now() + d
+	n.armKind(d, tkTruncation)
+	d = time.Second + n.rt.jitter(time.Second)
+	n.repairNext = n.now() + d
+	n.armKind(d, tkRepair)
 	n.armKind(p.DataCacheTTL, tkPrune)
+}
+
+// wakeLoop re-arms an idle housekeeping loop on its original phase: the
+// recorded tick *next advances by whole periods until it lies after now. A
+// tick due exactly now counts as passed, since the wake runs after the
+// state change it reacts to.
+func (n *node) wakeLoop(next *time.Duration, period time.Duration, kind timerKind) {
+	now := n.now()
+	if *next <= now {
+		*next += (now-*next)/period*period + period
+	}
+	n.armKind(*next-now, kind)
 }
 
 // activateSource begins sensing for an interest: periodic events and
@@ -389,6 +414,13 @@ func (n *node) setGradient(st *interestState, nbr topology.NodeID, kind gradKind
 	default:
 		g.kind = gradExploratory
 		g.expires = n.now() + p.ExploratoryGradientTimeout
+		return
+	}
+	// The node holds (or again holds) a live data gradient: an idle repair
+	// watchdog has something to watch.
+	if n.repairIdle {
+		n.repairIdle = false
+		n.wakeLoop(&n.repairNext, time.Second, tkRepair)
 	}
 }
 

@@ -301,6 +301,9 @@ type Network struct {
 	// slots of receivers that moved out of range mid-frame.
 	slotOf   []int32
 	leftover []int32
+	// begin() scratch on sharded runs: the frame's in-range receivers
+	// owned by other shards, handed to emitRemote.
+	remote []topology.NodeID
 }
 
 type nodeState struct {
@@ -845,12 +848,13 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 			ns.busyUntil = busyEnd
 		}
 	}
+	rem := n.remote[:0]
 	for _, nb := range n.field.Neighbors(ns.id) {
 		if n.owner != nil && n.owner[nb] != n.self {
 			// The receiver lives on another shard: its energy charge,
 			// collision check, and delivery all happen there, at end of
 			// airtime, via the mailbox.
-			n.emitRemote(tx, nb, airtime)
+			rem = append(rem, nb)
 			continue
 		}
 		rs := &n.nodes[nb]
@@ -888,6 +892,10 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 		}
 		rs.audible = append(rs.audible, audibleTx{tx: tx, slot: slot})
 	}
+	if len(rem) > 0 {
+		n.emitRemote(tx, rem, airtime)
+	}
+	n.remote = rem[:0]
 	n.kernel.ScheduleRunner(airtime, tx)
 }
 

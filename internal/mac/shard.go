@@ -2,11 +2,11 @@
 //
 // On a sharded run every shard holds a full Field clone but hosts only the
 // nodes its owner table maps to it. A frame put on the air touches its local
-// receivers exactly as on the serial path; each in-range receiver owned by
-// another shard instead gets a RemoteRx mail timed at the frame's end of
-// airtime — which is >= one minimum-frame airtime after the emit instant,
-// the group's conservative lookahead, so mails never arrive in a shard's
-// past.
+// receivers exactly as on the serial path; the in-range receivers owned by
+// another shard instead share one RemoteRx mail per destination shard,
+// timed at the frame's end of airtime — which is >= one minimum-frame
+// airtime after the emit instant, the group's conservative lookahead, so
+// mails never arrive in a shard's past.
 //
 // Shifting a border receiver's energy charge and collision check from frame
 // start to frame end is what makes the handoff conservative with zero
@@ -35,14 +35,15 @@ import (
 	"repro/internal/topology"
 )
 
-// RemoteRx is one cross-shard reception: everything the receiving shard
-// needs to finish a frame that was transmitted on another shard. The mail
-// fires at the frame's end of airtime; start lets the receiver check the
-// full airtime interval for overlap.
+// RemoteRx carries one frame's cross-shard receptions: everything the
+// receiving shard needs to finish, for each of its in-range nodes, a frame
+// that was transmitted on another shard. The mail fires at the frame's end
+// of airtime; start lets each receiver check the full airtime interval for
+// overlap.
 type RemoteRx struct {
 	from  topology.NodeID
-	to    topology.NodeID // the in-range receiver this mail is for
-	dest  topology.NodeID // frame destination: Broadcast or a unicast target
+	to    []topology.NodeID // the in-range receivers on the destination shard, in neighbor order
+	dest  topology.NodeID   // frame destination: Broadcast or a unicast target
 	kind  txKind
 	frame Frame
 	start time.Duration
@@ -78,34 +79,56 @@ func MinFrameAirtime(model energy.Model, params Params) time.Duration {
 	return model.Airtime(params.AckBytes)
 }
 
-// emitRemote stages the end-of-airtime mail for an in-range receiver owned
-// by another shard.
-func (n *Network) emitRemote(tx *transmission, nb topology.NodeID, airtime time.Duration) {
+// emitRemote stages the end-of-airtime mails for the in-range receivers
+// rem, all owned by other shards: one mail per destination shard, each
+// listing its receivers in neighbor order. Delivering them back to back in
+// one event is the order separate per-receiver mails would fire in: they
+// would hold consecutive kernel sequence numbers at the same instant.
+func (n *Network) emitRemote(tx *transmission, rem []topology.NodeID, airtime time.Duration) {
 	now := n.kernel.Now()
-	n.stats.RemoteMails++
-	n.shard.Send(int(n.owner[nb]), now+airtime, RemoteRx{
-		from:  tx.from,
-		to:    nb,
-		dest:  tx.to,
-		kind:  tx.kind,
-		frame: tx.frame,
-		start: now,
-	})
+	n.stats.RemoteMails += len(rem)
+	for len(rem) > 0 {
+		dst := n.owner[rem[0]]
+		to := make([]topology.NodeID, 0, len(rem))
+		rest := rem[:0]
+		for _, nb := range rem {
+			if n.owner[nb] == dst {
+				to = append(to, nb)
+			} else {
+				rest = append(rest, nb)
+			}
+		}
+		n.shard.Send(int(dst), now+airtime, RemoteRx{
+			from:  tx.from,
+			to:    to,
+			dest:  tx.to,
+			kind:  tx.kind,
+			frame: tx.frame,
+			start: now,
+		})
+		rem = rest
+	}
 }
 
-// DeliverRemote finishes one cross-shard reception on the owning shard. It
-// runs at the frame's end of airtime, so charge, overlap check, and
-// delivery happen in a single step.
+// DeliverRemote finishes a frame's cross-shard receptions on the owning
+// shard, receiver by receiver. It runs at the frame's end of airtime, so
+// charge, overlap check, and delivery happen in a single step.
 func (n *Network) DeliverRemote(rx RemoteRx) {
+	for _, to := range rx.to {
+		n.deliverRemote(&rx, to)
+	}
+}
+
+func (n *Network) deliverRemote(rx *RemoteRx, to topology.NodeID) {
 	now := n.kernel.Now()
-	rs := &n.nodes[rx.to]
+	rs := &n.nodes[to]
 	if !rs.on {
-		if n.drop != nil && rx.kind == txData && (rx.dest == Broadcast || rx.dest == rx.to) {
-			n.drop(rx.from, rx.to, rx.frame, RxReceiverOff)
+		if n.drop != nil && rx.kind == txData && (rx.dest == Broadcast || rx.dest == to) {
+			n.drop(rx.from, to, rx.frame, RxReceiverOff)
 		}
 		return
 	}
-	n.energy[rx.to].Receive(rx.frame.Bytes)
+	n.energy[to].Receive(rx.frame.Bytes)
 	corrupted := rs.txActive || rs.busyUntil > rx.start
 	// Everything locally in flight at this receiver overlaps the crossing
 	// frame's airtime, so it is corrupted here exactly as begin() would
@@ -119,17 +142,17 @@ func (n *Network) DeliverRemote(rx RemoteRx) {
 	if now > rs.busyUntil {
 		rs.busyUntil = now
 	}
-	if n.filter != nil && !n.filter(rx.from, rx.to) {
+	if n.filter != nil && !n.filter(rx.from, to) {
 		n.stats.LinkLoss++
-		if n.drop != nil && rx.kind == txData && (rx.dest == Broadcast || rx.dest == rx.to) {
-			n.drop(rx.from, rx.to, rx.frame, RxLinkLoss)
+		if n.drop != nil && rx.kind == txData && (rx.dest == Broadcast || rx.dest == to) {
+			n.drop(rx.from, to, rx.frame, RxLinkLoss)
 		}
 		return
 	}
 	if corrupted {
 		n.stats.Collisions++
-		if n.drop != nil && rx.kind == txData && (rx.dest == Broadcast || rx.dest == rx.to) {
-			n.drop(rx.from, rx.to, rx.frame, RxCollision)
+		if n.drop != nil && rx.kind == txData && (rx.dest == Broadcast || rx.dest == to) {
+			n.drop(rx.from, to, rx.frame, RxCollision)
 		}
 		return
 	}
@@ -141,12 +164,12 @@ func (n *Network) DeliverRemote(rx RemoteRx) {
 				n.stats.Delivered++
 				rs.recv(rx.from, rx.frame)
 			}
-		case rx.dest == rx.to:
+		case rx.dest == to:
 			// Unicast to an owned node: deliver, then answer with a real
 			// ACK after SIFS — the round-trip the sender's timeout waits
 			// out. The range check uses this shard's field view, which is
 			// what a receiver can know.
-			if !n.field.InRange(rx.from, rx.to) {
+			if !n.field.InRange(rx.from, to) {
 				return
 			}
 			if rs.recv != nil {
@@ -159,7 +182,7 @@ func (n *Network) DeliverRemote(rx RemoteRx) {
 		}
 		// Overheard cross-shard unicast: charged above, nothing delivered.
 	case txAck:
-		if rx.dest == rx.to {
+		if rx.dest == to {
 			n.completeRemoteAck(rs, rx.from)
 		}
 	}
@@ -167,7 +190,7 @@ func (n *Network) DeliverRemote(rx RemoteRx) {
 
 // sendRemoteAck transmits a genuine ACK frame from dest back to the
 // cross-shard sender src. Local neighbors hear (and are charged for) the
-// ACK like any other; src itself receives it as a RemoteRx mail through
+// ACK like any other; src itself receives it in a RemoteRx mail through
 // begin's remote branch. peer/of stay nil — the sender shard completes or
 // times out on its own.
 func (n *Network) sendRemoteAck(dest *nodeState, src topology.NodeID) {

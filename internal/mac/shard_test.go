@@ -87,6 +87,73 @@ func TestShardedBroadcastCrossesBorder(t *testing.T) {
 	}
 }
 
+// TestShardedMailPerDestinationShard: a frame's cross-border receivers on
+// one shard share a single mail, and each is served in the sender's
+// neighbor order.
+func TestShardedMailPerDestinationShard(t *testing.T) {
+	area := geom.Rect{MinX: 0, MinY: 0, MaxX: 160, MaxY: 40}
+	pts := []geom.Point{
+		{X: 70, Y: 20}, // node 0, shard 0: the sender
+		{X: 95, Y: 35}, // nodes 1-3, shard 1, all within range of node 0
+		{X: 85, Y: 5},
+		{X: 90, Y: 20},
+	}
+	field, err := topology.FromPositions(area, 40, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := topology.ShardStrips(field, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := energy.PaperModel()
+	params := DefaultParams()
+	g := sim.NewShardGroup(1, 2, MinFrameAirtime(model, params))
+	var nets [2]*Network
+	for i := 0; i < 2; i++ {
+		fld := field
+		if i > 0 {
+			fld = field.Clone()
+		}
+		n, err := NewSharded(g.Shard(i), fld, model, params, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[i] = n
+		g.Shard(i).SetMailHandler(func(m sim.Mail) { n.DeliverRemote(m.Data.(RemoteRx)) })
+	}
+	var heard []topology.NodeID
+	for id := topology.NodeID(1); id <= 3; id++ {
+		id := id
+		nets[1].SetReceiver(id, func(from topology.NodeID, f Frame) { heard = append(heard, id) })
+	}
+	g.Shard(0).Kernel().At(0, func() {
+		if err := nets[0].Broadcast(0, Frame{Bytes: 100}); err != nil {
+			t.Error(err)
+		}
+	})
+	g.Run(sim.Time(time.Second))
+
+	var want []topology.NodeID
+	for _, nb := range field.Neighbors(0) {
+		if owner[nb] == 1 {
+			want = append(want, nb)
+		}
+	}
+	if len(want) != 3 {
+		t.Fatalf("fixture: node 0 has cross-border neighbors %v, want three", want)
+	}
+	if len(heard) != 3 || heard[0] != want[0] || heard[1] != want[1] || heard[2] != want[2] {
+		t.Errorf("cross-border receivers heard in order %v, want neighbor order %v", heard, want)
+	}
+	if st := g.Stats(); st.Mails != 1 {
+		t.Errorf("Mails = %d, want 1 (one per destination shard per frame)", st.Mails)
+	}
+	if rm := nets[0].Stats().RemoteMails; rm != 3 {
+		t.Errorf("RemoteMails = %d, want 3 (one per cross-border reception)", rm)
+	}
+}
+
 // TestShardedUnicastAckRoundTrip: a cross-border unicast completes through a
 // genuine remote ACK — delivered once, no timeout, sender sees success.
 func TestShardedUnicastAckRoundTrip(t *testing.T) {

@@ -84,11 +84,11 @@ type PendingEvent struct {
 // (at, seq) — the canonical serialization order.
 func (k *Kernel) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, len(k.heap))
-	for _, idx := range k.heap {
-		ev := &k.pool[idx]
+	for _, key := range k.heap {
+		ev := &k.pool[key.idx]
 		out = append(out, PendingEvent{
-			At:        ev.at,
-			Seq:       ev.seq,
+			At:        key.at,
+			Seq:       key.seq,
 			Runner:    ev.runner,
 			Cancelled: ev.state == evCancelled,
 			Closure:   ev.fn != nil,
@@ -129,8 +129,6 @@ func (k *Kernel) RestoreEvent(at Time, seq uint64, r Runner) (Timer, error) {
 	}
 	idx := k.alloc()
 	ev := &k.pool[idx]
-	ev.at = at
-	ev.seq = seq
 	ev.fn = nil
 	ev.runner = r
 	ev.state = evPending
@@ -138,11 +136,7 @@ func (k *Kernel) RestoreEvent(at Time, seq uint64, r Runner) (Timer, error) {
 		ev.state = evCancelled
 		k.cancelled++
 	}
-	k.heap = append(k.heap, idx)
-	k.siftUp(len(k.heap) - 1)
-	if len(k.heap) > k.maxQueue {
-		k.maxQueue = len(k.heap)
-	}
+	k.push(heapKey{at: at, seq: seq, idx: idx})
 	return Timer{k: k, idx: idx, gen: ev.gen}, nil
 }
 

@@ -8,18 +8,20 @@
 //
 // The event queue is built for allocation-free steady state: event records
 // live in a pooled arena recycled through a free list, the priority queue is
-// a concrete inlined 4-ary min-heap of arena indexes (no interface boxing,
-// no per-Schedule heap allocation once the arena is warm), and Timer handles
-// are generation-counted so Stop and Active stay safe after a record is
-// recycled. Cancelled events are compacted out of the heap lazily once they
-// outnumber live ones, so mass cancellation cannot pin queue memory until
-// the dead deadlines drain.
+// a concrete 4-ary min-heap whose slots carry their (at, seq) ordering key
+// inline beside the arena index (no interface boxing, no pool dereference
+// per comparison, no per-Schedule heap allocation once the arena is warm),
+// and Timer handles are generation-counted so Stop and Active stay safe
+// after a record is recycled. Cancelled events are compacted out of the
+// heap lazily once they outnumber live ones, so mass cancellation cannot
+// pin queue memory until the dead deadlines drain.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -41,14 +43,21 @@ type Runner interface {
 
 // event is one pooled event record. Records are recycled through the
 // kernel's free list; gen increments on every recycle so stale Timer
-// handles can never act on a successor event.
+// handles can never act on a successor event. The record's deadline lives
+// in its heap slot (heapKey), not here.
 type event struct {
-	at     Time
-	seq    uint64 // tie-break: FIFO among same-time events
 	fn     Handler
 	runner Runner
 	gen    uint32
 	state  uint8
+}
+
+// heapKey is one heap slot: the event's ordering key stored inline beside
+// its arena index, so sifting compares contiguous memory.
+type heapKey struct {
+	at  Time
+	seq uint64 // tie-break: FIFO among same-time events
+	idx int32
 }
 
 // Event record states.
@@ -100,7 +109,7 @@ func (t Timer) Active() bool {
 // concurrent use; a simulation run lives on one goroutine by design.
 type Kernel struct {
 	now       Time
-	heap      []int32 // 4-ary min-heap of pool indexes, ordered by (at, seq)
+	heap      []heapKey // 4-ary min-heap ordered by (at, seq)
 	pool      []event
 	free      []int32
 	cancelled int // cancelled records still sitting in the heap
@@ -196,18 +205,31 @@ func (k *Kernel) at(at Time, fn Handler, r Runner) Timer {
 	}
 	idx := k.alloc()
 	ev := &k.pool[idx]
-	ev.at = at
-	ev.seq = k.seq
 	ev.fn = fn
 	ev.runner = r
 	ev.state = evPending
+	k.push(heapKey{at: at, seq: k.seq, idx: idx})
 	k.seq++
-	k.heap = append(k.heap, idx)
+	return Timer{k: k, idx: idx, gen: ev.gen}
+}
+
+// push inserts a heap slot and tracks the queue-depth high-water mark.
+func (k *Kernel) push(key heapKey) {
+	k.heap = append(k.heap, key)
 	k.siftUp(len(k.heap) - 1)
 	if len(k.heap) > k.maxQueue {
 		k.maxQueue = len(k.heap)
 	}
-	return Timer{k: k, idx: idx, gen: ev.gen}
+}
+
+// Reserve grows the queue and the event arena so that n more events can be
+// pending without either reallocating — for callers about to arm a known
+// batch of timers, such as one periodic loop per node at start-up.
+func (k *Kernel) Reserve(n int) {
+	k.heap = slices.Grow(k.heap, n)
+	if free := len(k.free); n > free {
+		k.pool = slices.Grow(k.pool, n-free)
+	}
 }
 
 // alloc hands out an event record, recycling the free list before growing
@@ -243,15 +265,14 @@ func (k *Kernel) Stop() { k.stopped = true }
 // compute the global lower bound on future events between windows.
 func (k *Kernel) PeekTime() (Time, bool) {
 	for len(k.heap) > 0 {
-		idx := k.heap[0]
-		ev := &k.pool[idx]
-		if ev.state == evCancelled {
+		head := k.heap[0]
+		if k.pool[head.idx].state == evCancelled {
 			k.popHead()
 			k.cancelled--
-			k.release(idx)
+			k.release(head.idx)
 			continue
 		}
-		return ev.at, true
+		return head.at, true
 	}
 	return 0, false
 }
@@ -270,22 +291,22 @@ func (k *Kernel) Run(horizon Time) Time {
 	defer func() { k.running = false }()
 
 	for len(k.heap) > 0 && !k.stopped {
-		idx := k.heap[0]
-		ev := &k.pool[idx]
-		if ev.at > horizon {
+		head := k.heap[0]
+		if head.at > horizon {
 			k.now = horizon
 			return k.now
 		}
+		ev := &k.pool[head.idx]
 		if ev.state == evCancelled {
 			k.popHead()
 			k.cancelled--
-			k.release(idx)
+			k.release(head.idx)
 			continue
 		}
-		k.now = ev.at
+		k.now = head.at
 		fn, r := ev.fn, ev.runner
 		k.popHead()
-		k.release(idx)
+		k.release(head.idx)
 		k.processed++
 		if fn != nil {
 			fn()
@@ -303,18 +324,18 @@ func (k *Kernel) Run(horizon Time) Time {
 // one fired. It is mainly useful in tests that want to single-step a model.
 func (k *Kernel) Step() bool {
 	for len(k.heap) > 0 {
-		idx := k.heap[0]
-		ev := &k.pool[idx]
+		head := k.heap[0]
+		ev := &k.pool[head.idx]
 		if ev.state == evCancelled {
 			k.popHead()
 			k.cancelled--
-			k.release(idx)
+			k.release(head.idx)
 			continue
 		}
-		k.now = ev.at
+		k.now = head.at
 		fn, r := ev.fn, ev.runner
 		k.popHead()
-		k.release(idx)
+		k.release(head.idx)
 		k.processed++
 		if fn != nil {
 			fn()
@@ -333,13 +354,12 @@ func (k *Kernel) Step() bool {
 // discrete-event-simulation tuning. Ordering by (at, seq) is a total order,
 // so heap shape never influences pop order and determinism is structural.
 
-// evLess orders pool records a before b.
-func (k *Kernel) evLess(a, b int32) bool {
-	ea, eb := &k.pool[a], &k.pool[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+// evLess orders heap slot a before b.
+func evLess(a, b *heapKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
 func (k *Kernel) siftUp(i int) {
@@ -347,7 +367,7 @@ func (k *Kernel) siftUp(i int) {
 	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !k.evLess(x, h[p]) {
+		if !evLess(&x, &h[p]) {
 			break
 		}
 		h[i] = h[p]
@@ -371,11 +391,11 @@ func (k *Kernel) siftDown(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if k.evLess(h[j], h[m]) {
+			if evLess(&h[j], &h[m]) {
 				m = j
 			}
 		}
-		if !k.evLess(h[m], x) {
+		if !evLess(&h[m], &x) {
 			break
 		}
 		h[i] = h[m]
@@ -410,11 +430,11 @@ func (k *Kernel) maybeCompact() {
 
 func (k *Kernel) compact() {
 	live := k.heap[:0]
-	for _, idx := range k.heap {
-		if k.pool[idx].state == evCancelled {
-			k.release(idx)
+	for _, key := range k.heap {
+		if k.pool[key.idx].state == evCancelled {
+			k.release(key.idx)
 		} else {
-			live = append(live, idx)
+			live = append(live, key)
 		}
 	}
 	k.heap = live

@@ -30,7 +30,7 @@ import (
 
 // FormatVersion is bumped whenever the container layout or any section's
 // record layout changes incompatibly. Readers reject other versions.
-const FormatVersion = 1
+const FormatVersion = 2
 
 const (
 	headerMagic = "WSNSNAP\x01"
