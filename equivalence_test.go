@@ -114,7 +114,10 @@ func equivalenceLines(t *testing.T) []byte {
 
 // digestValue writes a canonical rendering of v: floats by bit pattern (so
 // NaN and signed zero are exact), maps in rendered-key order, pointers and
-// interfaces by what they point at. Unexported fields are included.
+// interfaces by what they point at. Unexported fields are included. Struct
+// fields holding their zero value are skipped: for a fixed type the
+// rendering stays injective, and deleting a field that is always zero
+// leaves every digest unchanged.
 func digestValue(w io.Writer, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
@@ -161,6 +164,9 @@ func digestValue(w io.Writer, v reflect.Value) {
 	case reflect.Struct:
 		io.WriteString(w, "(")
 		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsZero() {
+				continue
+			}
 			io.WriteString(w, v.Type().Field(i).Name+"=")
 			digestValue(w, v.Field(i))
 		}
