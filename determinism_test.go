@@ -12,15 +12,20 @@ package repro
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/diffusion"
 	"repro/internal/failure"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -257,5 +262,89 @@ func TestMobileNDJSONTraceRepeatable(t *testing.T) {
 			}
 		}
 		t.Fatalf("trace lengths differ: %d vs %d bytes", len(a), len(b))
+	}
+}
+
+// wholeOutputDigest runs cfg with an NDJSON tracer attached (so periodic
+// protocol-state snapshots fire) and digests the entire Output, kernel
+// counters and telemetry included, plus the trace bytes. Only wall-clock
+// readings are cleared: they measure the host, not the simulation.
+func wholeOutputDigest(t *testing.T, cfg core.Config) string {
+	t.Helper()
+	var buf bytes.Buffer
+	nd := trace.NewNDJSON(&buf)
+	cfg.Tracer = nd
+	out, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Telemetry) == 0 || out.Kernel.Events == 0 {
+		t.Fatalf("run produced no telemetry (%d metrics) or no events (%d)", len(out.Telemetry), out.Kernel.Events)
+	}
+	out.Kernel.WallTime = 0
+	tel := out.Telemetry[:0]
+	for _, m := range out.Telemetry {
+		if m.Name != "sim_wall_seconds" && m.Name != "sim_wall_per_virtual_second" {
+			tel = append(tel, m)
+		}
+	}
+	out.Telemetry = tel
+	h := sha256.New()
+	digestValue(h, reflect.ValueOf(out))
+	h.Write(buf.Bytes())
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestWholeOutputRepeatable runs each configuration twice and requires the
+// same digest of the whole Output, telemetry and kernel counters included:
+// any state a run keeps outside its seed — a map iterated in hash order, a
+// package-level variable, a wall-clock read feeding the model — shows up as
+// a mismatch. The configurations cover the mobility, self-healing, battery
+// and snapshot paths together, Fig 6 failure waves, and chaos amnesia.
+func TestWholeOutputRepeatable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six instrumented runs; skipped with -short")
+	}
+	base := func(seed int64) core.Config {
+		cfg := core.DefaultConfig()
+		cfg.Nodes = 80
+		cfg.Seed = seed
+		cfg.Duration = 60 * time.Second
+		cfg.Telemetry = &obs.Config{SnapshotEvery: 15 * time.Second}
+		return cfg
+	}
+	mix := base(3)
+	mix.Mobility = topology.MobilityConfig{
+		Model:    topology.MobilityWaypoint,
+		Epoch:    time.Second,
+		SpeedMin: 1, SpeedMax: 3,
+	}
+	mix.Diffusion.Repair = diffusion.DefaultRepairParams()
+	mix.Diffusion.Repair.Enabled = true
+	mix.BatteryJ = 5
+
+	fig6 := base(5)
+	fig6.Nodes = 120
+	fc := failure.DefaultConfig()
+	fig6.Failures = &fc
+
+	amnesia := base(11)
+	amnesia.Scheme = core.SchemeOpportunistic
+	amnesia.Chaos = &chaos.Config{
+		Amnesia:         chaos.AmnesiaConfig{MeanInterval: 4 * time.Second, Downtime: 3 * time.Second},
+		CheckInvariants: true,
+	}
+
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{{"mobility-repair-battery", mix}, {"fig6-failures", fig6}, {"chaos-amnesia", amnesia}} {
+		a, b := wholeOutputDigest(t, c.cfg), wholeOutputDigest(t, c.cfg)
+		if a != b {
+			t.Errorf("%s: two runs of one config digest %s and %s", c.name, a[:16], b[:16])
+		}
 	}
 }

@@ -4,9 +4,8 @@ package repro
 // except the kernel's own counters, for a spread of configurations that
 // exercise every protocol path. Event-loop optimizations (which events get
 // scheduled, how the queue orders them) may move Output.Kernel, and nothing
-// else. The golden was captured before the idle-housekeeping,
-// inline-heap-key and per-strip cross-shard mail changes; regenerate it
-// only for an intentional behavior change:
+// else. The outputs it pins predate the idle-housekeeping and inline-heap-key
+// changes; regenerate it only for an intentional behavior change:
 //
 //	go test -run TestOutputEquivalenceGolden -update .
 
@@ -32,8 +31,7 @@ import (
 
 // equivalenceConfigs names the configurations the golden covers: both
 // schemes, Fig 6 failure waves, chaos with crash-amnesia, walk mobility
-// with the self-healing layer on, a multi-sink field, and the sharded
-// kernel at two and four strips.
+// with the self-healing layer on, and a multi-sink field.
 func equivalenceConfigs() []struct {
 	name string
 	cfg  core.Config
@@ -80,14 +78,6 @@ func equivalenceConfigs() []struct {
 	cfg.Diffusion.Repair = diffusion.DefaultRepairParams()
 	cfg.Diffusion.Repair.Enabled = true
 	add("walk-repair-greedy", cfg)
-
-	// The sharded kernel on a field wide enough for four radio-range strips.
-	for i, s := range []core.Scheme{core.SchemeGreedy, core.SchemeOpportunistic} {
-		cfg := base(s, 600, 19)
-		cfg.FieldSide = 200 * math.Sqrt(600/150.0)
-		cfg.Shards = 2 + 2*i
-		add(fmt.Sprintf("sharded%d-%s", cfg.Shards, s), cfg)
-	}
 	return out
 }
 
@@ -100,11 +90,6 @@ func equivalenceLines(t *testing.T) []byte {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		out.Kernel = core.KernelStats{}
-		if ss := out.Shards; ss != nil {
-			// Window, mailbox and per-shard event counts are event-loop
-			// counters too; the strip layout and clamp count are model.
-			*ss = core.ShardStats{Requested: ss.Requested, Shards: ss.Shards, Delta: ss.Delta, Clamped: ss.Clamped}
-		}
 		h := sha256.New()
 		digestValue(h, reflect.ValueOf(out))
 		fmt.Fprintf(&b, "%s %s\n", c.name, hex.EncodeToString(h.Sum(nil))[:16])
@@ -181,7 +166,7 @@ func digestValue(w io.Writer, v reflect.Value) {
 // kernel counters matches the capture taken before the event-loop changes.
 func TestOutputEquivalenceGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eleven full simulations; skipped with -short")
+		t.Skip("nine full simulations; skipped with -short")
 	}
 	compareGolden(t, filepath.Join("testdata", "equivalence.golden.txt"), equivalenceLines(t))
 }

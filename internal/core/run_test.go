@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +50,35 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatal("expected validation error")
 			}
 		})
+	}
+}
+
+// TestConfigRejectsRemovedFeatures: the sharded kernel and mid-run
+// checkpointing are gone, and their Config fields survive only as stubs.
+// Setting one is an error naming the removal, never a silent serial run;
+// Shards 0 and 1 (both the serial path) stay valid.
+func TestConfigRejectsRemovedFeatures(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		cfg := quickCfg(SchemeGreedy)
+		cfg.Shards = shards
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Shards %d rejected: %v", shards, err)
+		}
+	}
+	for _, m := range []struct {
+		name string
+		f    func(*Config)
+	}{
+		{"shards 2", func(c *Config) { c.Shards = 2 }},
+		{"shards -1", func(c *Config) { c.Shards = -1 }},
+		{"checkpoint path", func(c *Config) { c.CheckpointPath = "run.snap" }},
+	} {
+		cfg := quickCfg(SchemeGreedy)
+		m.f(&cfg)
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("%s: Run returned %v, want an error naming the removal", m.name, err)
+		}
 	}
 }
 

@@ -277,13 +277,12 @@ func (n *node) flush(st *interestState) {
 
 // truncationPass runs the strategy's path-truncation rule over the last
 // window of received aggregates, once per Tn per node. A pass that finds
-// every window empty on a live node has nothing to do until data arrives,
-// so the loop goes idle; the next window append (onData) wakes it on its
-// original phase. Off nodes keep ticking.
+// every window empty has nothing to do until data arrives, so the loop goes
+// idle; the next window append (onData) wakes it on its original phase.
 func (n *node) truncationPass() {
 	tn := n.rt.params.NegReinforceWindow
 	n.truncNext = n.now() + tn
-	if n.on() && n.windowsEmpty() {
+	if n.windowsEmpty() {
 		n.truncIdle = true
 		return
 	}
@@ -327,13 +326,13 @@ func (n *node) windowsEmpty() bool {
 // one has gone silent (§2: "if a node on this preferred path fails, sensor
 // nodes can attempt to locally repair the failed path").
 //
-// The classic watchdog only acts on tree nodes, so on a live non-sink node
-// holding no data gradient the loop goes idle; setGradient wakes it on its
-// original phase once the node is reinforced. Off nodes keep ticking, and
-// the self-healing layer's pass keeps its cadence.
+// The classic watchdog only acts on tree nodes, so on a non-sink node
+// holding no data gradient, on or off, the loop goes idle; setGradient
+// wakes it on its original phase once the node is reinforced. The
+// self-healing layer's pass keeps its cadence.
 func (n *node) repairPass() {
 	n.repairNext = n.now() + time.Second
-	if n.on() && !n.rt.params.Repair.Enabled && !n.isSink && !n.onAnyTree() {
+	if !n.rt.params.Repair.Enabled && !n.isSink && !n.onAnyTree() {
 		n.repairIdle = true
 		return
 	}

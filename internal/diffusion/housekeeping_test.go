@@ -94,20 +94,30 @@ func TestRepairLoopIdlesOffTreeAndWakesOnPhase(t *testing.T) {
 	}
 }
 
-func TestRepairLoopKeepsTickingWhileOff(t *testing.T) {
+// TestRepairLoopIdlesWhileOffAndWakesOnPhase: an off node without tree
+// state has nothing to watch, so its repair loop idles instead of firing
+// no-op ticks; once it is back on and reinforced the loop wakes on its
+// original phase.
+func TestRepairLoopIdlesWhileOffAndWakesOnPhase(t *testing.T) {
 	k, net, n := housekeepingNode(t, DefaultParams(), 1)
 	first := n.repairNext
 	net.SetOn(1, false)
-	k.Run(first + 2*time.Second)
-	if n.repairIdle {
-		t.Fatal("off node's repair loop went idle")
+	k.Run(first)
+	if !n.repairIdle || len(loopTicks(k, n, tkRepair)) != 0 {
+		t.Fatalf("off, off-tree repair loop still armed: idle=%v ticks=%v",
+			n.repairIdle, loopTicks(k, n, tkRepair))
 	}
-	wantTick(t, k, n, tkRepair, first+3*time.Second)
-	// Back on and still off-tree: the next tick idles.
-	net.SetOn(1, true)
 	k.Run(first + 3*time.Second)
-	if !n.repairIdle {
-		t.Fatal("repair loop did not idle once the node was back on")
+	if ticks := loopTicks(k, n, tkRepair); len(ticks) != 0 {
+		t.Fatalf("idle repair loop re-armed while off: %v", ticks)
+	}
+
+	net.SetOn(1, true)
+	k.Run(first + 4500*time.Millisecond)
+	n.setGradient(n.state(0), 2, gradData)
+	wantTick(t, k, n, tkRepair, first+5*time.Second)
+	if n.repairIdle {
+		t.Fatal("repair loop still marked idle after waking")
 	}
 }
 

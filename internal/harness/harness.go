@@ -20,6 +20,11 @@ import (
 	"repro/internal/stats"
 )
 
+// ErrInterrupted is wrapped by the error a sweep returns when
+// Options.Interrupt fired before every cell ran: the cells that finished
+// are on the ledger, so rerunning the sweep over it resumes the rest.
+var ErrInterrupted = errors.New("sweep interrupted")
+
 // interrupted reports whether the optional interrupt channel has been closed.
 func interrupted(ch <-chan struct{}) bool {
 	select {
@@ -70,27 +75,9 @@ type Options struct {
 	// violation at this virtual time in every chaos-checked run — a drill
 	// that exercises the violation → flight-dump path end to end.
 	SelfTestViolation time.Duration
-	// Shards, when > 1, runs every eligible cell on the sharded parallel
-	// kernel (core.Config.Shards). Cells outside the sharded envelope —
-	// failure waves, chaos, RTS/CTS, idealized schemes — keep the serial
-	// path instead of failing the sweep. Workers is clamped so
-	// jobs × shards never exceeds GOMAXPROCS; see workers.
-	Shards int
-	// CheckpointDir, when non-empty, arms crash durability: every cell
-	// inside the checkpoint envelope (core.CheckpointSupported) writes a
-	// periodic snapshot into this directory and, on a later sweep over the
-	// same directory, resumes mid-cell from it. Cells outside the envelope
-	// run fresh — determinism makes a re-run equivalent to a resume.
-	// Requires CheckpointEvery.
-	CheckpointDir string
-	// CheckpointEvery is the virtual-time interval between snapshots for
-	// checkpointed cells. Required when CheckpointDir is set.
-	CheckpointEvery time.Duration
 	// Interrupt, when non-nil and closed, requests a graceful stop: cells
-	// not yet started are skipped, in-flight checkpointed cells drain to the
-	// next snapshot boundary and write a final checkpoint, in-flight
-	// uncheckpointed cells finish and land in the ledger, and the sweep
-	// returns an error wrapping core.ErrInterrupted.
+	// not yet started are skipped, in-flight cells finish and land in the
+	// ledger, and the sweep returns an error wrapping ErrInterrupted.
 	Interrupt <-chan struct{}
 }
 
@@ -124,64 +111,17 @@ func (o Options) validate() error {
 		return fmt.Errorf("harness: empty density sweep")
 	case o.Workers < 0:
 		return fmt.Errorf("harness: negative worker count")
-	case o.Shards < 0:
-		return fmt.Errorf("harness: negative shard count")
-	case o.CheckpointDir != "" && o.CheckpointEvery <= 0:
-		return fmt.Errorf("harness: CheckpointDir set without a positive CheckpointEvery")
 	default:
 		return nil
 	}
 }
 
-// workers returns the concurrent-run cap. With sharding on, each run
-// occupies Shards cores by itself, so the requested worker count is clamped
-// to GOMAXPROCS / Shards (at least 1) — jobs × shards never oversubscribes
-// the machine.
+// workers returns the concurrent-run cap (GOMAXPROCS when unset).
 func (o Options) workers() int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if o.Workers > 0 {
+		return o.Workers
 	}
-	if o.Shards > 1 {
-		if budget := runtime.GOMAXPROCS(0) / o.Shards; w > budget {
-			w = budget
-			if w < 1 {
-				w = 1
-			}
-		}
-	}
-	return w
-}
-
-// warnWorkerClamp emits one progress line when the jobs × shards budget cut
-// the requested worker count.
-func (o Options) warnWorkerClamp() {
-	if o.Progress == nil || o.Shards <= 1 {
-		return
-	}
-	req := o.Workers
-	if req <= 0 {
-		req = runtime.GOMAXPROCS(0)
-	}
-	if w := o.workers(); w < req {
-		o.Progress(fmt.Sprintf(
-			"harness: capping workers at %d (%d requested): %d shards per run on GOMAXPROCS=%d",
-			w, req, o.Shards, runtime.GOMAXPROCS(0)))
-	}
-}
-
-// applyShards opts one cell into the sharded kernel when the options ask for
-// it and the cell's configuration is inside the sharded envelope; ineligible
-// cells keep the serial path rather than failing the sweep.
-func (o Options) applyShards(cfg core.Config) core.Config {
-	if o.Shards <= 1 {
-		return cfg
-	}
-	cfg.Shards = o.Shards
-	if cfg.Validate() != nil {
-		cfg.Shards = 0
-	}
-	return cfg
+	return runtime.GOMAXPROCS(0)
 }
 
 // Cell aggregates one (x, scheme) data point over the sampled fields.
@@ -377,7 +317,6 @@ func sweep(o Options, id, title, xlabel string, schemes []core.Scheme, xs []int,
 				if o.Telemetry {
 					cfg.Telemetry = &obs.Config{}
 				}
-				cfg = o.applyShards(cfg)
 				jobs = append(jobs, job{scheme: s, xIdx: xi, field: f, cfg: cfg})
 			}
 		}
@@ -388,7 +327,6 @@ func sweep(o Options, id, title, xlabel string, schemes []core.Scheme, xs []int,
 		return nil, err
 	}
 	defer led.Close()
-	o.warnWorkerClamp()
 	tr := newProgressTracker(len(jobs))
 
 	type result struct {
@@ -406,9 +344,9 @@ func sweep(o Options, id, title, xlabel string, schemes []core.Scheme, xs []int,
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			// An interrupt stops the sweep from launching further cells;
-			// cells already past this point drain gracefully inside runCell.
+			// cells already past this point finish into the ledger.
 			if interrupted(o.Interrupt) {
-				results[i] = result{job: jobs[i], err: core.ErrInterrupted}
+				results[i] = result{job: jobs[i], err: ErrInterrupted}
 				return
 			}
 			j := jobs[i]
@@ -421,10 +359,10 @@ func sweep(o Options, id, title, xlabel string, schemes []core.Scheme, xs []int,
 
 	meta := newMetaCollector(o)
 	for _, r := range results {
-		if errors.Is(r.err, core.ErrInterrupted) {
-			// Not a cell failure: completed cells are on the ledger and
-			// partial ones have checkpoints, so the caller can resume.
-			return nil, fmt.Errorf("harness: %s interrupted: %w", id, core.ErrInterrupted)
+		if errors.Is(r.err, ErrInterrupted) {
+			// Not a cell failure: completed cells are on the ledger, so the
+			// caller can resume.
+			return nil, fmt.Errorf("harness: %s: %w", id, ErrInterrupted)
 		}
 		if r.err != nil {
 			return nil, fmt.Errorf("harness: %s %v x-index %d field %d: %w",

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -70,10 +69,10 @@ type LedgerEntry struct {
 	Field   int     `json:"field"`
 	Seed    int64   `json:"seed"`
 	SimSecs float64 `json:"sim_secs"`
-	// Shards is the run's core.Config.Shards (0 for serial entries, which is
-	// what ledgers written before sharding existed decode to). A sharded run
-	// is a different event interleaving than a serial one, so a replay must
-	// match the shard count too.
+	// Shards is the strip count of a run on the former sharded kernel, still
+	// decoded from ledgers written before it was removed. Serial runs leave
+	// it 0. A sharded run was a different event interleaving than a serial
+	// one, so an entry with Shards ≥ 2 never replays into a serial sweep.
 	Shards int          `json:"shards,omitempty"`
 	Output LedgerOutput `json:"output"`
 }
@@ -147,16 +146,16 @@ func (l *Ledger) Close() error {
 }
 
 // lookup returns the recorded summary for a cell, if one exists and was
-// produced by the same seed, simulated duration, and shard count (a ledger
-// written under different options never replays).
-func (l *Ledger) lookup(figure, series string, x, field int, seed int64, simSecs float64, shards int) (LedgerOutput, bool) {
+// produced by a serial run with the same seed and simulated duration (a
+// ledger written under different options never replays).
+func (l *Ledger) lookup(figure, series string, x, field int, seed int64, simSecs float64) (LedgerOutput, bool) {
 	if l == nil {
 		return LedgerOutput{}, false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e, ok := l.entries[ledgerKey(figure, series, x, field)]
-	if !ok || e.Seed != seed || e.SimSecs != simSecs || e.Shards != shards {
+	if !ok || e.Seed != seed || e.SimSecs != simSecs || e.Shards > 1 {
 		return LedgerOutput{}, false
 	}
 	return e.Output, true
@@ -255,18 +254,12 @@ func (id cellID) flightName() string {
 	return fmt.Sprintf("%s_%s_x%d_f%d.flight.ndjson", id.figure, series, id.x, id.field)
 }
 
-// snapName is the per-cell checkpoint filename under Options.CheckpointDir.
-func (id cellID) snapName() string {
-	series := strings.NewReplacer("/", "-", "=", "-").Replace(id.series)
-	return fmt.Sprintf("%s_%s_x%d_f%d.snap", id.figure, series, id.x, id.field)
-}
-
 // runCell executes one sweep cell through the ledger: a matching recorded
 // entry replays without simulating; otherwise the run executes and its
 // summary is appended. Fresh runs feed Options.OnRun, and both paths emit
 // one Options.Progress line with the tracker's progress/ETA suffix.
 func runCell(o Options, led *Ledger, tr *progressTracker, id cellID, cfg core.Config) (LedgerOutput, error) {
-	if lo, ok := led.lookup(id.figure, id.series, id.x, id.field, cfg.Seed, cfg.Duration.Seconds(), cfg.Shards); ok {
+	if lo, ok := led.lookup(id.figure, id.series, id.x, id.field, cfg.Seed, cfg.Duration.Seconds()); ok {
 		if o.Progress != nil {
 			o.Progress(fmt.Sprintf("%s %s x=%d field=%d replayed from ledger [%s]",
 				id.figure, id.series, id.x, id.field, tr.note(true, 0)))
@@ -281,14 +274,14 @@ func runCell(o Options, led *Ledger, tr *progressTracker, id cellID, cfg core.Co
 		cc.SelfTestViolation = o.SelfTestViolation
 		cfg.Chaos = &cc
 	}
-	out, err := runDurable(o, id, cfg)
+	out, err := core.Run(cfg)
 	if err != nil {
 		return LedgerOutput{}, err
 	}
 	lo := summarize(out)
 	if err := led.record(LedgerEntry{
 		Figure: id.figure, Series: id.series, X: id.x, Field: id.field,
-		Seed: cfg.Seed, SimSecs: cfg.Duration.Seconds(), Shards: cfg.Shards, Output: lo,
+		Seed: cfg.Seed, SimSecs: cfg.Duration.Seconds(), Output: lo,
 	}); err != nil {
 		return LedgerOutput{}, err
 	}
@@ -301,40 +294,4 @@ func runCell(o Options, led *Ledger, tr *progressTracker, id cellID, cfg core.Co
 			lo.Kernel.Events, lo.Kernel.EventsPerSec(), tr.note(false, lo.Kernel.WallTime)))
 	}
 	return lo, nil
-}
-
-// runDurable executes one fresh cell, adding crash durability when
-// Options.CheckpointDir is set and the cell is inside the checkpoint
-// envelope: a snapshot left behind by an earlier interrupted or killed sweep
-// resumes mid-run, and periodic checkpoints plus the interrupt channel make
-// this run resumable in turn. Cells outside the envelope (idealized schemes,
-// chaos, churn, sharded) run fresh — the run is deterministic, so a re-run
-// is observationally identical to a resume. A snapshot that fails to restore
-// (corrupted, or written under different options) is discarded and the cell
-// re-runs from scratch.
-func runDurable(o Options, id cellID, cfg core.Config) (core.Output, error) {
-	if o.CheckpointDir == "" || core.CheckpointSupported(cfg) != nil {
-		return core.Run(cfg)
-	}
-	cfg.CheckpointPath = filepath.Join(o.CheckpointDir, id.snapName())
-	cfg.CheckpointEvery = o.CheckpointEvery
-	cfg.Interrupt = o.Interrupt
-	if _, err := os.Stat(cfg.CheckpointPath); err == nil {
-		out, err := core.Restore(cfg.CheckpointPath, cfg)
-		if err == nil && o.Progress != nil {
-			o.Progress(fmt.Sprintf("%s %s x=%d field=%d resumed from checkpoint",
-				id.figure, id.series, id.x, id.field))
-		}
-		if err == nil || errors.Is(err, core.ErrInterrupted) {
-			return out, err
-		}
-		if o.Progress != nil {
-			o.Progress(fmt.Sprintf("%s %s x=%d field=%d: discarding unusable checkpoint: %v",
-				id.figure, id.series, id.x, id.field, err))
-		}
-		if err := os.Remove(cfg.CheckpointPath); err != nil {
-			return core.Output{}, fmt.Errorf("harness: remove unusable checkpoint: %w", err)
-		}
-	}
-	return core.Run(cfg)
 }

@@ -164,7 +164,6 @@ type Stats struct {
 	BytesOnAir  int64
 	AcksMissing int // unicast attempts that timed out waiting for an ACK
 	LinkLoss    int // receptions suppressed by an installed LinkFilter
-	RemoteMails int // cross-shard receptions staged into the mailbox (sharded runs only)
 }
 
 // RxDropReason classifies, for a DropHook, why a reception the unit-disk
@@ -272,12 +271,6 @@ type Network struct {
 	params Params
 	model  energy.Model
 	rng    *rand.Rand
-	// Sharded-run context (nil owner on the serial path). The network then
-	// hosts only the nodes owner maps to self; frames crossing a shard
-	// border travel as RemoteRx mails through shard (see NewSharded).
-	shard *sim.Shard
-	owner []uint8
-	self  uint8
 	// energy and nodes are struct-of-arrays slabs: one contiguous value
 	// slice each, allocated once at field size and never grown, so interior
 	// pointers (&n.nodes[i] held by sense runners and transmission
@@ -301,9 +294,6 @@ type Network struct {
 	// slots of receivers that moved out of range mid-frame.
 	slotOf   []int32
 	leftover []int32
-	// begin() scratch on sharded runs: the frame's in-range receivers
-	// owned by other shards, handed to emitRemote.
-	remote []topology.NodeID
 }
 
 type nodeState struct {
@@ -316,16 +306,10 @@ type nodeState struct {
 	audible  []audibleTx
 	cw       int
 	navUntil time.Duration // virtual carrier sense from overheard RTS/CTS
-	// busyUntil is the latest end-of-airtime of any frame this node has
-	// been in front of (heard, sent, or received by mail). Maintained only
-	// on sharded runs, where it decides whether a cross-shard frame whose
-	// airtime is only known at delivery overlapped anything local.
-	busyUntil time.Duration
 
 	// sense is the node's prebuilt carrier-sense step; every contention
 	// wait schedules this same runner record instead of capturing a fresh
-	// closure per backoff, which also keeps pending backoffs identifiable
-	// for checkpoint snapshots (DESIGN.md §12).
+	// closure per backoff.
 	sense senseEvent
 }
 
@@ -344,12 +328,6 @@ type outFrame struct {
 	frame    Frame
 	retries  int
 	released bool
-	// gen increments on release so a cross-shard ACK timeout armed for one
-	// attempt can never act on a recycled record; awaitRemote marks an
-	// attempt whose destination lives on another shard and whose fate (real
-	// ACK mail or timeout) is still open.
-	gen         uint32
-	awaitRemote bool
 }
 
 type txKind int
@@ -382,8 +360,8 @@ type transmission struct {
 	// overlap and link-filter fates for the same receivers.
 	recv rxSet
 	// toSlot is the unicast destination's slot in recv, or -1 when the
-	// destination was not put in front of the frame (broadcast, off, out of
-	// range, or hosted on another shard).
+	// destination was not put in front of the frame (broadcast, off, or out
+	// of range).
 	toSlot int32
 
 	// Completion context, interpreted per kind: owner is the transmitting
@@ -426,12 +404,10 @@ func (tx *transmission) Run() {
 type callOp uint8
 
 const (
-	opSendAck          callOp = iota // a=receiver answering, b=data sender
-	opAckTimeout                     // a=sender waiting out the ACK window
-	opSendCTS                        // a=RTS destination, b=RTS sender
-	opDataAfterCTS                   // a=sender releasing its data frame
-	opSendRemoteAck                  // a=receiver answering a cross-shard sender (peer)
-	opRemoteAckTimeout               // a=sender waiting out a cross-shard ACK round-trip
+	opSendAck      callOp = iota // a=receiver answering, b=data sender
+	opAckTimeout                 // a=sender waiting out the ACK window
+	opSendCTS                    // a=RTS destination, b=RTS sender
+	opDataAfterCTS               // a=sender releasing its data frame
 )
 
 // pendingCall is a pooled sim.Runner for SIFS gaps and timeout waits.
@@ -440,18 +416,13 @@ type pendingCall struct {
 	op   callOp
 	a, b *nodeState
 	of   *outFrame
-	// Cross-shard context: peer is the remote counterpart's ID (it has no
-	// local nodeState to point at), gen snapshots of.gen so a timeout can
-	// detect its frame was completed and recycled.
-	peer topology.NodeID
-	gen  uint32
 }
 
 // Run dispatches the recorded step. The record is recycled first so the
 // step itself may schedule follow-up calls.
 func (c *pendingCall) Run() {
 	n := c.net
-	op, a, b, of, peer, gen := c.op, c.a, c.b, c.of, c.peer, c.gen
+	op, a, b, of := c.op, c.a, c.b, c.of
 	c.a, c.b, c.of = nil, nil, nil
 	n.callFree = append(n.callFree, c)
 	switch op {
@@ -465,14 +436,6 @@ func (c *pendingCall) Run() {
 		if a.on && len(a.queue) > 0 && a.queue[0] == of {
 			n.transmitData(a, of)
 		}
-	case opSendRemoteAck:
-		n.sendRemoteAck(a, peer)
-	case opRemoteAckTimeout:
-		if of.gen != gen || !of.awaitRemote {
-			return // the real ACK mail won, or the record was recycled
-		}
-		of.awaitRemote = false
-		n.ackTimeout(a, of)
 	}
 }
 
@@ -578,8 +541,6 @@ func (n *Network) releaseFrame(of *outFrame) {
 	}
 	of.released = true
 	of.frame = Frame{}
-	of.awaitRemote = false
-	of.gen++
 	n.frameFree = append(n.frameFree, of)
 }
 
@@ -841,22 +802,7 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 	for _, a := range ns.audible {
 		n.corrupt(&a.tx.recv[a.slot])
 	}
-	var busyEnd time.Duration
-	if n.owner != nil {
-		busyEnd = n.kernel.Now() + airtime
-		if busyEnd > ns.busyUntil {
-			ns.busyUntil = busyEnd
-		}
-	}
-	rem := n.remote[:0]
 	for _, nb := range n.field.Neighbors(ns.id) {
-		if n.owner != nil && n.owner[nb] != n.self {
-			// The receiver lives on another shard: its energy charge,
-			// collision check, and delivery all happen there, at end of
-			// airtime, via the mailbox.
-			rem = append(rem, nb)
-			continue
-		}
 		rs := &n.nodes[nb]
 		if !rs.on {
 			if n.drop != nil {
@@ -866,9 +812,6 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 		}
 		// The receiver's radio is captured for the airtime either way.
 		n.energy[nb].Receive(tx.frame.Bytes)
-		if n.owner != nil && busyEnd > rs.busyUntil {
-			rs.busyUntil = busyEnd
-		}
 		slot := int32(len(tx.recv))
 		tx.recv = append(tx.recv, rxEntry{id: nb, flags: rxHeard})
 		e := &tx.recv[slot]
@@ -892,10 +835,6 @@ func (n *Network) begin(ns *nodeState, tx *transmission, airtime time.Duration) 
 		}
 		rs.audible = append(rs.audible, audibleTx{tx: tx, slot: slot})
 	}
-	if len(rem) > 0 {
-		n.emitRemote(tx, rem, airtime)
-	}
-	n.remote = rem[:0]
 	n.kernel.ScheduleRunner(airtime, tx)
 }
 
@@ -1024,20 +963,6 @@ func (n *Network) finishData(tx *transmission) {
 		n.dequeueAndContinue(ns)
 		return
 	}
-	if n.owner != nil && n.owner[of.to] != n.self {
-		// Cross-shard unicast: the owning shard decides reception when the
-		// frame's mail arrives and answers with a real ACK transmission.
-		// Always wait out the full round-trip; the ACK mail (which lands one
-		// slot before this timeout when the exchange succeeds) completes the
-		// frame through completeRemoteAck, and the generation check makes a
-		// stale timeout harmless.
-		of.awaitRemote = true
-		c := n.allocCall()
-		c.op, c.a, c.of, c.gen = opRemoteAckTimeout, ns, of, of.gen
-		timeout := n.params.SIFS + n.model.Airtime(n.params.AckBytes) + n.params.SlotTime
-		n.kernel.ScheduleRunner(timeout, c)
-		return
-	}
 	// Unicast: did the destination get it?
 	dest := &n.nodes[of.to]
 	gotIt := dest.on && n.field.InRange(ns.id, of.to) && tx.clearAtDest()
@@ -1071,9 +996,6 @@ func (n *Network) sendAck(dest, src *nodeState, of *outFrame) {
 // the sender's frame; anything else sends it to the retry path.
 func (n *Network) finishAck(ack *transmission) {
 	dest, src, of := ack.owner, ack.peer, ack.of
-	if src == nil {
-		return // cross-shard ACK: the remote sender completes via its mail
-	}
 	if !src.on {
 		return
 	}

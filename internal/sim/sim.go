@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"time"
 )
 
@@ -115,7 +116,6 @@ type Kernel struct {
 	cancelled int // cancelled records still sitting in the heap
 	seq       uint64
 	rng       *rand.Rand
-	src       *countingSource // the rng's underlying source, draw-counted for checkpoint/restore
 	running   bool
 	stopped   bool
 
@@ -125,14 +125,9 @@ type Kernel struct {
 	maxQueue  int
 }
 
-// NewKernel returns a kernel whose randomness is derived from seed. The
-// source is wrapped in a draw counter (see checkpoint.go) so a restore can
-// fast-forward a fresh source to the same stream position; the wrapper
-// delegates every call, so the stream is bit-identical to an unwrapped
-// rand.NewSource(seed).
+// NewKernel returns a kernel whose randomness is derived from seed.
 func NewKernel(seed int64) *Kernel {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Kernel{rng: rand.New(src), src: src}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -259,22 +254,37 @@ func (k *Kernel) release(idx int32) {
 // Stop makes Run return after the currently firing event completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// PeekTime returns the timestamp of the next live event without firing it,
-// draining any cancelled records sitting at the head. The second result is
-// false when no live events remain. The shard coordinator uses this to
-// compute the global lower bound on future events between windows.
-func (k *Kernel) PeekTime() (Time, bool) {
-	for len(k.heap) > 0 {
-		head := k.heap[0]
-		if k.pool[head.idx].state == evCancelled {
-			k.popHead()
-			k.cancelled--
-			k.release(head.idx)
-			continue
-		}
-		return head.at, true
+// PendingEvent describes one queued event, as PendingEvents lists it.
+type PendingEvent struct {
+	At  Time
+	Seq uint64
+	// Runner is the scheduled object for ScheduleRunner events; nil for
+	// closure (Handler) events and cancelled records.
+	Runner Runner
+	// Cancelled marks a Stop'd record still occupying its heap slot.
+	Cancelled bool
+}
+
+// PendingEvents returns every queued event, cancelled records included, in
+// firing order (at, seq) — for tests that inspect what a model has armed.
+func (k *Kernel) PendingEvents() []PendingEvent {
+	out := make([]PendingEvent, 0, len(k.heap))
+	for _, key := range k.heap {
+		ev := &k.pool[key.idx]
+		out = append(out, PendingEvent{
+			At:        key.at,
+			Seq:       key.seq,
+			Runner:    ev.runner,
+			Cancelled: ev.state == evCancelled,
+		})
 	}
-	return 0, false
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].At != out[j].At {
+			return out[i].At < out[j].At
+		}
+		return out[i].Seq < out[j].Seq
+	})
+	return out
 }
 
 // Run fires events in order until the queue empties, the horizon passes, or
