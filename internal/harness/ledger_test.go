@@ -27,32 +27,45 @@ func ledgerOptions(ledger string, progress func(string)) Options {
 	}
 }
 
+// lineLog collects Options.Progress lines, which sweep workers report
+// concurrently.
+type lineLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *lineLog) add(s string) {
+	l.mu.Lock()
+	l.lines = append(l.lines, s)
+	l.mu.Unlock()
+}
+
 // TestLedgerResume checks the resumable-sweep contract: a second run over
 // the same ledger replays every cell without simulating, and the resumed
 // table renders a byte-identical CSV.
 func TestLedgerResume(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "sweep.ledger.ndjson")
 
-	var firstLines []string
-	t1, err := Fig5(ledgerOptions(ledger, func(s string) { firstLines = append(firstLines, s) }))
+	var first lineLog
+	t1, err := Fig5(ledgerOptions(ledger, first.add))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range firstLines {
+	for _, l := range first.lines {
 		if strings.Contains(l, "replayed") {
 			t.Fatalf("fresh sweep replayed a cell: %q", l)
 		}
 	}
 
-	var secondLines []string
-	t2, err := Fig5(ledgerOptions(ledger, func(s string) { secondLines = append(secondLines, s) }))
+	var second lineLog
+	t2, err := Fig5(ledgerOptions(ledger, second.add))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(secondLines) == 0 {
+	if len(second.lines) == 0 {
 		t.Fatal("no progress lines from the resumed sweep")
 	}
-	for _, l := range secondLines {
+	for _, l := range second.lines {
 		if !strings.Contains(l, "replayed from ledger") {
 			t.Fatalf("resumed sweep re-simulated a cell: %q", l)
 		}
@@ -81,12 +94,12 @@ func TestLedgerIgnoresMismatchedRuns(t *testing.T) {
 
 	opts := ledgerOptions(ledger, nil)
 	opts.BaseSeed = 999 // different seeds: nothing on file matches
-	var lines []string
-	opts.Progress = func(s string) { lines = append(lines, s) }
+	var log lineLog
+	opts.Progress = log.add
 	if _, err := Fig5(opts); err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range lines {
+	for _, l := range log.lines {
 		if strings.Contains(l, "replayed") {
 			t.Fatalf("mismatched-seed sweep replayed a cell: %q", l)
 		}
@@ -270,14 +283,16 @@ func TestSweepInterrupted(t *testing.T) {
 		t.Fatal("the cell that finished before the interrupt is not on the ledger")
 	}
 
-	var replayed int
-	resumed, err := Fig5(ledgerOptions(ledger, func(s string) {
-		if strings.Contains(s, "replayed from ledger") {
-			replayed++
-		}
-	}))
+	var log lineLog
+	resumed, err := Fig5(ledgerOptions(ledger, log.add))
 	if err != nil {
 		t.Fatal(err)
+	}
+	replayed := 0
+	for _, l := range log.lines {
+		if strings.Contains(l, "replayed from ledger") {
+			replayed++
+		}
 	}
 	if replayed != led.Loaded() {
 		t.Errorf("resume replayed %d cells, the ledger holds %d", replayed, led.Loaded())
