@@ -50,7 +50,8 @@ type Options struct {
 	// so a GOMAXPROCS-limited process doesn't oversubscribe itself; the
 	// experiments binary exposes this as -jobs).
 	Workers int
-	// Progress, when non-nil, receives one line per completed run.
+	// Progress, when non-nil, receives one line per completed run. Called
+	// from worker goroutines; must be safe for concurrent use.
 	Progress func(string)
 	// Telemetry enables per-run metrics registries, merged into each
 	// table's Meta for the provenance manifest. Each run gets a private
