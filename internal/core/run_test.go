@@ -9,6 +9,8 @@ import (
 	"repro/internal/agg"
 	"repro/internal/chaos"
 	"repro/internal/failure"
+	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -53,31 +55,119 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsRemovedFeatures: the sharded kernel and mid-run
-// checkpointing are gone, and their Config fields survive only as stubs.
-// Setting one is an error naming the removal, never a silent serial run;
-// Shards 0 and 1 (both the serial path) stay valid.
-func TestConfigRejectsRemovedFeatures(t *testing.T) {
-	for _, shards := range []int{0, 1} {
-		cfg := quickCfg(SchemeGreedy)
-		cfg.Shards = shards
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("Shards %d rejected: %v", shards, err)
-		}
+// The sharded kernel and mid-run checkpointing are gone; their Config
+// fields survive only as stubs. The tests below pin that setting one is an
+// error naming the removal in every configuration, never a silent serial
+// run, and that Shards 0 and 1 (both the serial path) stay valid.
+
+// TestShardsOneIsSerial: Shards 1 is accepted and is the serial run, so its
+// output is identical to Shards 0 and every determinism golden stands.
+func TestShardsOneIsSerial(t *testing.T) {
+	cfg := quickCfg(SchemeGreedy)
+	cfg.Seed = 7
+	zero, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range []struct {
+	cfg.Shards = 1
+	one, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero.Metrics, one.Metrics) || !reflect.DeepEqual(zero.MAC, one.MAC) ||
+		!reflect.DeepEqual(zero.Sent, one.Sent) || !reflect.DeepEqual(zero.Trees, one.Trees) ||
+		zero.Kernel.Events != one.Kernel.Events {
+		t.Fatal("shards=1 output differs from shards=0")
+	}
+}
+
+// TestShardedCheckpointRejected: a run asking for both removed features
+// fails before simulating anything, naming the first of them.
+func TestShardedCheckpointRejected(t *testing.T) {
+	cfg := quickCfg(SchemeGreedy)
+	cfg.Shards = 2
+	cfg.CheckpointPath = "run.snap"
+	_, err := Run(cfg)
+	if err == nil {
+		t.Fatal("sharded checkpoint run succeeded, want rejection")
+	}
+	if !strings.Contains(err.Error(), "sharded kernel was removed") {
+		t.Fatalf("rejection does not name the sharding removal: %v", err)
+	}
+}
+
+// envelopes are the features that once narrowed which runs could shard or
+// checkpoint; each is valid on its own in a serial run.
+func envelopes() []struct {
+	name string
+	mut  func(*Config)
+} {
+	return []struct {
 		name string
-		f    func(*Config)
+		mut  func(*Config)
 	}{
-		{"shards 2", func(c *Config) { c.Shards = 2 }},
-		{"shards -1", func(c *Config) { c.Shards = -1 }},
-		{"checkpoint path", func(c *Config) { c.CheckpointPath = "run.snap" }},
-	} {
+		{"flooding", func(c *Config) { c.Scheme = SchemeFlooding }},
+		{"chaos", func(c *Config) { cc := chaos.DefaultConfig(); c.Chaos = &cc }},
+		{"churn", func(c *Config) {
+			c.Churn = failure.ChurnConfig{JoinFraction: 0.2, JoinWindow: 10 * time.Second}
+		}},
+		{"failure waves", func(c *Config) { fc := failure.DefaultConfig(); c.Failures = &fc }},
+		{"flight recorder", func(c *Config) { c.FlightPath = "flight.ndjson" }},
+		{"battery", func(c *Config) { c.BatteryJ = 1 }},
+		{"protocol snapshots", func(c *Config) { c.Telemetry = &obs.Config{SnapshotEvery: time.Second} }},
+	}
+}
+
+// TestCheckpointEnvelopeRejections: a CheckpointPath is rejected whatever
+// else the run enables, while the same run without it is valid.
+func TestCheckpointEnvelopeRejections(t *testing.T) {
+	type rejection struct {
+		name string
+		mut  func(*Config)
+		want string
+	}
+	cases := []rejection{
+		{"shards", func(c *Config) { c.Shards = 2 }, "sharded kernel was removed"},
+		{"non-resumable tracer", func(c *Config) { c.Tracer = trace.NewRecorder(0) }, "checkpointing was removed"},
+	}
+	for _, e := range envelopes() {
+		cases = append(cases, rejection{e.name, e.mut, "checkpointing was removed"})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg(SchemeGreedy)
+			tc.mut(&cfg)
+			if tc.name != "shards" {
+				if err := cfg.Validate(); err != nil {
+					t.Fatalf("serial run rejected: %v", err)
+				}
+			}
+			cfg.CheckpointPath = "run.snap"
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("want rejection, got nil")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("rejection %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestShardedEnvelope: Shards outside 0..1 is rejected whatever else the
+// run enables, while the same run at Shards 0 is valid.
+func TestShardedEnvelope(t *testing.T) {
+	for _, e := range envelopes() {
 		cfg := quickCfg(SchemeGreedy)
-		m.f(&cfg)
-		_, err := Run(cfg)
-		if err == nil || !strings.Contains(err.Error(), "removed") {
-			t.Errorf("%s: Run returned %v, want an error naming the removal", m.name, err)
+		e.mut(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: serial run rejected: %v", e.name, err)
+		}
+		for _, shards := range []int{2, -1} {
+			cfg.Shards = shards
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "sharded kernel was removed") {
+				t.Errorf("%s, shards %d: Validate returned %v, want an error naming the removal", e.name, shards, err)
+			}
 		}
 	}
 }

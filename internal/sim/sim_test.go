@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -208,6 +209,34 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical runs")
+	}
+}
+
+// TestCountingSourceStreamIdentical pins the kernel's random stream to the
+// standard library's stream for the same seed: any wrapper or source change
+// that perturbed it would shift every existing (seed, config) golden.
+func TestCountingSourceStreamIdentical(t *testing.T) {
+	plain := rand.New(rand.NewSource(7))
+	kernel := NewKernel(7).Rand()
+	for i := 0; i < 1000; i++ {
+		switch i % 4 {
+		case 0:
+			if a, b := plain.Int63(), kernel.Int63(); a != b {
+				t.Fatalf("Int63 diverged at %d: %d vs %d", i, a, b)
+			}
+		case 1:
+			if a, b := plain.Uint64(), kernel.Uint64(); a != b {
+				t.Fatalf("Uint64 diverged at %d: %d vs %d", i, a, b)
+			}
+		case 2:
+			if a, b := plain.Intn(1000), kernel.Intn(1000); a != b {
+				t.Fatalf("Intn diverged at %d: %d vs %d", i, a, b)
+			}
+		case 3:
+			if a, b := plain.Float64(), kernel.Float64(); a != b {
+				t.Fatalf("Float64 diverged at %d: %v vs %v", i, a, b)
+			}
+		}
 	}
 }
 
